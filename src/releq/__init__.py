@@ -38,8 +38,6 @@ from .dynamics import (
 from .errors import DocumentError, SingularityError
 from .model import (
     Configuration,
-    Exponent,
-    FrequencyMatrix,
     Problem,
     frequency_matrix,
     pairwise_distances,
@@ -71,8 +69,6 @@ __all__ = [
     "ConservedQuantities",
     "DocumentError",
     "EquilibriumFingerprint",
-    "Exponent",
-    "FrequencyMatrix",
     "PhaseState",
     "ProbeReport",
     "Problem",

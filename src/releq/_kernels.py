@@ -1,25 +1,13 @@
 """Hot numeric kernels: all-pairs forces, criterion residual, Jacobian.
 
-Each kernel exists twice: a vectorized pure-numpy version and a loop
-version that numba jit-compiles. The module-level names (``accel``,
-``residual_stack``, ...) are bound once at import time. Set
-``RELEQ_BACKEND=numpy`` to force the numpy path; anything else (or unset)
-uses numba when it is importable. All kernels take C-contiguous float64
-arrays and are deterministic for a fixed backend: summation order is the
-ascending body index on both paths.
+All kernels are vectorized numpy, take C-contiguous float64 arrays and
+are deterministic: summation order is the ascending body index.
 """
-
-import os
-import warnings
 
 import numpy as np
 
 
-# ----------------------------------------------------------------------
-# numpy implementations
-# ----------------------------------------------------------------------
-
-def accel_numpy(positions, masses, a):
+def accel(positions, masses, a):
     """Accelerations sum_{j!=i} m_j (q_j - q_i) |q_j - q_i|^(2a), shape (n, k)."""
     diff = positions[None, :, :] - positions[:, None, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
@@ -29,7 +17,7 @@ def accel_numpy(positions, masses, a):
     return np.einsum("ij,ijk->ik", w, diff)
 
 
-def residual_stack_numpy(positions, masses, asq, a):
+def residual_stack(positions, masses, asq, a):
     """Per-body balance defect asq*Q_i - sum_{j!=i} m_j (Q_i - Q_j) r^(2a)."""
     diff = positions[:, None, :] - positions[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
@@ -40,7 +28,7 @@ def residual_stack_numpy(positions, masses, asq, a):
     return positions * asq[None, :] - force
 
 
-def jacobian_dense_numpy(positions, masses, asq, a):
+def jacobian_dense(positions, masses, asq, a):
     """Derivative of the stacked residual, shape (n*k, n*k)."""
     n, k = positions.shape
     diff = positions[:, None, :] - positions[None, :, :]
@@ -58,22 +46,22 @@ def jacobian_dense_numpy(positions, masses, asq, a):
     return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
 
-def pair_distances_numpy(positions):
+def pair_distances(positions):
     diff = positions[:, None, :] - positions[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(r2, 0.0)
     return np.sqrt(r2)
 
 
-def min_pair_distance_numpy(positions):
-    n = positions.shape[0]
-    if n < 2:
-        return np.inf
-    d = pair_distances_numpy(positions)
-    return float(d[np.triu_indices(n, 1)].min())
+def min_pair_distance(positions):
+    """Smallest pairwise distance; inf for fewer than two bodies."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(r2, np.inf)
+    return float(np.sqrt(r2.min(initial=np.inf)))
 
 
-def potential_numpy(positions, masses, a):
+def potential(positions, masses, a):
     """Potential whose negative q_i-gradient is m_i times the acceleration."""
     n = positions.shape[0]
     iu, ju = np.triu_indices(n, 1)
@@ -85,170 +73,9 @@ def potential_numpy(positions, masses, a):
     return float(np.sum(masses[iu] * masses[ju] * phi))
 
 
-# ----------------------------------------------------------------------
-# loop implementations (numba targets)
-# ----------------------------------------------------------------------
-
-def _accel_loops(positions, masses, a):
-    n, k = positions.shape
-    out = np.zeros((n, k))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            r2 = 0.0
-            for c in range(k):
-                d = positions[j, c] - positions[i, c]
-                r2 += d * d
-            w = masses[j] * r2 ** a
-            for c in range(k):
-                out[i, c] += w * (positions[j, c] - positions[i, c])
-    return out
-
-
-def _residual_stack_loops(positions, masses, asq, a):
-    n, k = positions.shape
-    out = np.empty((n, k))
-    for i in range(n):
-        for c in range(k):
-            out[i, c] = asq[c] * positions[i, c]
-        for j in range(n):
-            if j == i:
-                continue
-            r2 = 0.0
-            for c in range(k):
-                d = positions[i, c] - positions[j, c]
-                r2 += d * d
-            w = masses[j] * r2 ** a
-            for c in range(k):
-                out[i, c] -= w * (positions[i, c] - positions[j, c])
-    return out
-
-
-def _jacobian_dense_loops(positions, masses, asq, a):
-    n, k = positions.shape
-    jac = np.zeros((n * k, n * k))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            r2 = 0.0
-            for c in range(k):
-                d = positions[i, c] - positions[j, c]
-                r2 += d * d
-            r2a = r2 ** a
-            coef = 2.0 * a * r2 ** (a - 1.0)
-            for u in range(k):
-                du = positions[i, u] - positions[j, u]
-                for v in range(k):
-                    dv = positions[i, v] - positions[j, v]
-                    b = masses[j] * (coef * du * dv)
-                    if u == v:
-                        b += masses[j] * r2a
-                    jac[i * k + u, j * k + v] += b
-                    jac[i * k + u, i * k + v] -= b
-        for u in range(k):
-            jac[i * k + u, i * k + u] += asq[u]
-    return jac
-
-
-def _pair_distances_loops(positions):
-    n, k = positions.shape
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            r2 = 0.0
-            for c in range(k):
-                d = positions[i, c] - positions[j, c]
-                r2 += d * d
-            r = np.sqrt(r2)
-            out[i, j] = r
-            out[j, i] = r
-    return out
-
-
-def _min_pair_distance_loops(positions):
-    n, k = positions.shape
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            r2 = 0.0
-            for c in range(k):
-                d = positions[i, c] - positions[j, c]
-                r2 += d * d
-            if r2 < best:
-                best = r2
-    return np.sqrt(best)
-
-
-def _potential_loops(positions, masses, a):
-    n, k = positions.shape
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            r2 = 0.0
-            for c in range(k):
-                d = positions[i, c] - positions[j, c]
-                r2 += d * d
-            r = np.sqrt(r2)
-            if a == -1.0:
-                phi = np.log(r)
-            else:
-                phi = r ** (2.0 * a + 2.0) / (2.0 * a + 2.0)
-            total += masses[i] * masses[j] * phi
-    return total
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-
-_requested = os.environ.get("RELEQ_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    warnings.warn(
-        f"unknown RELEQ_BACKEND={_requested!r}; expected 'numba' or 'numpy', "
-        "falling back to the default"
-    )
-    _requested = ""
-
-_use_numba = _requested != "numpy"
-if _use_numba:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _requested == "numba":
-            warnings.warn("RELEQ_BACKEND=numba but numba is not importable; using numpy")
-        _use_numba = False
-
-if _use_numba:
-    _jit = _njit(cache=True, nogil=True)
-    accel_numba = _jit(_accel_loops)
-    residual_stack_numba = _jit(_residual_stack_loops)
-    jacobian_dense_numba = _jit(_jacobian_dense_loops)
-    pair_distances_numba = _jit(_pair_distances_loops)
-    min_pair_distance_numba = _jit(_min_pair_distance_loops)
-    potential_numba = _jit(_potential_loops)
-
-    BACKEND = "numba"
-    accel = accel_numba
-    residual_stack = residual_stack_numba
-    jacobian_dense = jacobian_dense_numba
-    pair_distances = pair_distances_numba
-    min_pair_distance = min_pair_distance_numba
-    potential = potential_numba
-else:
-    BACKEND = "numpy"
-    accel = accel_numpy
-    residual_stack = residual_stack_numpy
-    jacobian_dense = jacobian_dense_numpy
-    pair_distances = pair_distances_numpy
-    min_pair_distance = min_pair_distance_numpy
-    potential = potential_numpy
-
-
 def backend():
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return BACKEND
+    """Name of the kernel backend; always 'numpy'."""
+    return "numpy"
 
 
 def as_input(arr):

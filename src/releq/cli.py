@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,11 +26,11 @@ from .documents import parse_document, write_text_atomic
 from .dynamics import (
     integrate,
     relative_equilibrium_deviation,
+    rigid_rotation_gap,
     rigid_rotation_state,
     trajectory_csv,
 )
 from .errors import DocumentError, SingularityError
-from .model import rotation_matrix
 from .probe import bound_probe, frequency_sweep, sweep_csv
 from .solver import (
     SolveOptions,
@@ -48,14 +47,11 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
 
-def _default_jobs():
-    raw = os.environ.get("RELEQ_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(args, text):
@@ -288,13 +284,7 @@ def _cmd_integrate(args):
     state = rigid_rotation_state(config, problem)
     times = np.linspace(0.0, t_end, args.samples + 1)
     traj = integrate(state, problem, t_end, args.tol, sample_times=times)
-
-    deviation = 0.0
-    for idx, t in enumerate(traj.times):
-        rot = rotation_matrix(problem.frequencies, t, problem.k)
-        gap = traj.positions[idx] - config.points @ rot.T
-        deviation = max(deviation,
-                        float(np.sqrt(np.sum(gap ** 2, axis=1)).max()))
+    deviation = rigid_rotation_gap(traj, config, problem)
     print(f"integrate: t_end={t_end:.9g} samples={args.samples} "
           f"deviation={deviation:.6e}")
     if args.format == "csv":
@@ -348,7 +338,7 @@ def build_parser():
     p.add_argument("--t-end", dest="t_end", type=float, default=None,
                    help="horizon for the dynamic deviation check "
                         "(default one rotation period)")
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=positive_int, default=16)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="refine the document's positions to an "
@@ -363,7 +353,7 @@ def build_parser():
     add_solver_flags(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("continue", help="track the solution while the "
@@ -380,7 +370,7 @@ def build_parser():
     add_solver_flags(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--omegas", default=None,
                    help="comma-separated frequency scalings: run one probe "
                         "per value (sweep)")
@@ -391,7 +381,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=positive_int, default=64)
     p.set_defaults(func=_cmd_integrate)
 
     return parser

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import SingularityError
-from .model import check_problem_config, collision_threshold
+from .model import check_problem_config
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +60,10 @@ class ClusterDiagnostics:
 
 
 def _checked_points(config, problem):
+    # A Configuration is collision-free by construction; only the shape
+    # can disagree with the problem.
     check_problem_config(problem, config)
-    pos = _kernels.as_input(config.points)
-    if not _kernels.min_pair_distance(pos) > collision_threshold(pos):
-        raise SingularityError("colliding configuration")
-    return pos
+    return _kernels.as_input(config.points)
 
 
 def residual(config, problem):

@@ -282,31 +282,36 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     return Trajectory(samples.copy(), out_pos, out_vel)
 
 
-def relative_equilibrium_deviation(config, problem, t_end, samples=32, tol=1e-10):
-    """Max gap between the integrated motion and rigid rotation of ``config``.
-
-    Starts from q_i(0) = Q_i with the rigid-rotation velocities G Q_i and
-    returns max over sample times and bodies of |q_i(t) - T(t) Q_i|.
-    """
-    check_problem_config(problem, config)
-    gen = rotation_generator(problem.frequencies, problem.k)
-    velocities = config.points @ gen.T
-    state = PhaseState(config.points, velocities, 0.0)
-    times = np.linspace(0.0, float(t_end), int(samples) + 1)
-    traj = integrate(state, problem, t_end, tol, sample_times=times)
-    worst = 0.0
-    for idx, t in enumerate(traj.times):
-        rot = rotation_matrix(problem.frequencies, t, problem.k)
-        gap = traj.positions[idx] - config.points @ rot.T
-        worst = max(worst, float(np.sqrt(np.sum(gap ** 2, axis=1)).max()))
-    return worst
-
-
 def rigid_rotation_state(config, problem):
     """Initial phase state whose exact solution would be rigid rotation."""
     check_problem_config(problem, config)
     gen = rotation_generator(problem.frequencies, problem.k)
     return PhaseState(config.points, config.points @ gen.T, 0.0)
+
+
+def rigid_rotation_gap(trajectory, config, problem):
+    """Max over samples and bodies of |q_i(t) - T(t) Q_i| along ``trajectory``."""
+    worst = 0.0
+    for idx, t in enumerate(trajectory.times):
+        rot = rotation_matrix(problem.frequencies, t, problem.k)
+        gap = trajectory.positions[idx] - config.points @ rot.T
+        worst = max(worst, float(np.sqrt(np.sum(gap ** 2, axis=1)).max()))
+    return worst
+
+
+def relative_equilibrium_deviation(config, problem, t_end, samples=32, tol=1e-10):
+    """Max gap between the integrated motion and rigid rotation of ``config``.
+
+    Starts from ``rigid_rotation_state`` and samples the motion at
+    ``samples`` + 1 uniform times in [0, t_end]; ``samples`` must be >= 1.
+    """
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    state = rigid_rotation_state(config, problem)
+    times = np.linspace(0.0, float(t_end), samples + 1)
+    traj = integrate(state, problem, t_end, tol, sample_times=times)
+    return rigid_rotation_gap(traj, config, problem)
 
 
 def trajectory_csv(trajectory):

@@ -10,7 +10,7 @@ constructions everything else is built on. All operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,22 +32,6 @@ def collision_threshold(points):
     return COLLISION_RTOL * (1.0 + float(norms.max(initial=0.0)))
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Force-law exponent a: the pair force scales as r^(2a+1), a < -1/2.
-
-    a = -3/2 gives the Newtonian force.
-    """
-
-    a: float
-
-    def __post_init__(self):
-        a = float(self.a)
-        if not a < -0.5:
-            raise ValueError(f"exponent must satisfy a < -0.5, got {a}")
-        object.__setattr__(self, "a", a)
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Immutable description of one rotating n-body problem.
@@ -60,14 +44,17 @@ class Problem:
         n strictly positive masses, n >= 2.
     frequencies : array_like
         floor(k/2) strictly positive rotation rates, one per 2-plane.
-    exponent : Exponent or float
-        Force-law exponent, a < -1/2.
+    exponent : float
+        Force-law exponent a < -1/2: the pair force scales as r^(2a+1),
+        and a = -3/2 gives the Newtonian force.
     """
 
     k: int
     masses: np.ndarray
     frequencies: np.ndarray
-    exponent: Exponent
+    exponent: float
+    # diagonal of the squared rate matrix, shape (k,); derived, read-only
+    asq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = int(self.k)
@@ -85,13 +72,16 @@ class Problem:
             )
         if not np.all(freqs > 0.0):
             raise ValueError("all frequencies must be strictly positive")
-        exponent = self.exponent
-        if not isinstance(exponent, Exponent):
-            exponent = Exponent(float(exponent))
+        exponent = float(self.exponent)
+        if not exponent < -0.5:
+            raise ValueError(f"exponent must satisfy a < -0.5, got {exponent}")
+        asq = frequency_matrix(freqs, k) ** 2
+        asq.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "asq", asq)
 
     @property
     def n(self):
@@ -103,18 +93,10 @@ class Problem:
 
     @property
     def a(self):
-        return self.exponent.a
-
-    def frequency_matrix(self):
-        return frequency_matrix(self.frequencies, self.k)
-
-    @property
-    def asq(self):
-        """Diagonal of the squared rate matrix, shape (k,)."""
-        return self.frequency_matrix().diag ** 2
+        return self.exponent
 
     def with_exponent(self, a):
-        return Problem(self.k, self.masses, self.frequencies, Exponent(float(a)))
+        return Problem(self.k, self.masses, self.frequencies, a)
 
     def with_frequencies(self, frequencies):
         return Problem(self.k, self.masses, frequencies, self.exponent)
@@ -125,10 +107,12 @@ class Configuration:
     """n fixed points in R^k; the rotating shape of a candidate equilibrium.
 
     Construction rejects configurations with any pair closer than
-    COLLISION_RTOL relative to the configuration size.
+    COLLISION_RTOL relative to the configuration size, and keeps the
+    minimum pairwise distance it measured.
     """
 
     points: np.ndarray
+    min_distance: float = field(init=False, repr=False)
 
     def __post_init__(self):
         points = _frozen_array(self.points)
@@ -142,6 +126,7 @@ class Configuration:
                 f"colliding configuration: min pairwise distance {min_dist:.3e}"
             )
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "min_distance", min_dist)
 
     @property
     def n(self):
@@ -152,43 +137,8 @@ class Configuration:
         return self.points.shape[1]
 
     @property
-    def min_distance(self):
-        return float(_kernels.min_pair_distance(_kernels.as_input(self.points)))
-
-    @property
     def max_norm(self):
         return float(np.sqrt(np.sum(self.points ** 2, axis=1)).max())
-
-
-@dataclass(frozen=True, eq=False)
-class FrequencyMatrix:
-    """Diagonal rate matrix: each rate repeated twice, trailing 0 when k is odd."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        diag = _frozen_array(self.diag)
-        if diag.ndim != 1 or diag.size < 2:
-            raise ValueError("diag must be a vector of length k >= 2")
-        if not np.all(diag >= 0.0):
-            raise ValueError("diagonal entries must be nonnegative")
-        k = diag.size
-        p = k // 2
-        pairs = diag[: 2 * p].reshape(p, 2)
-        if not np.all(pairs[:, 0] == pairs[:, 1]):
-            raise ValueError("diagonal entries must come in equal consecutive pairs")
-        if k % 2 == 1 and diag[-1] != 0.0:
-            raise ValueError("odd dimension requires a trailing zero entry")
-        if k % 2 == 0 and diag[-1] == 0.0:
-            raise ValueError("even dimension admits no trailing zero rate")
-        object.__setattr__(self, "diag", diag)
-
-    @property
-    def k(self):
-        return self.diag.size
-
-    def matrix(self):
-        return np.diag(self.diag)
 
 
 def _check_frequency_dims(frequencies, k):
@@ -241,7 +191,7 @@ def frequency_matrix(frequencies, k):
         raise ValueError("all frequencies must be strictly positive")
     diag = np.zeros(k)
     diag[: 2 * (k // 2)] = np.repeat(freqs, 2)
-    return FrequencyMatrix(diag)
+    return diag
 
 
 def pairwise_distances(config):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .criterion import residual, residual_scale, jacobian
-from .model import Configuration, check_problem_config, collision_threshold
+from .model import Configuration, check_problem_config
 
 log = logging.getLogger(__name__)
 
@@ -173,10 +173,21 @@ def sample_seed(problem, rng, radius=None, max_attempts=100):
         direction = rng.normal(size=(n, k))
         direction /= np.sqrt(np.sum(direction ** 2, axis=1))[:, None]
         radii = r0 * rng.random(n) ** (1.0 / k)
-        pts = direction * radii[:, None]
-        if _kernels.min_pair_distance(_kernels.as_input(pts)) > collision_threshold(pts):
-            return Configuration(pts)
+        try:
+            return Configuration(direction * radii[:, None])
+        except ValueError:
+            continue
     raise RuntimeError("failed to draw a collision-free seed")
+
+
+def _check_damping(opts):
+    """Reject damping settings under which rejected steps repeat forever."""
+    if not opts.damping_init > 0.0:
+        raise ValueError(f"damping_init must be > 0, got {opts.damping_init}")
+    if not opts.damping_grow > 1.0:
+        raise ValueError(f"damping_grow must be > 1, got {opts.damping_grow}")
+    if np.isnan(opts.damping_shrink):
+        raise ValueError("damping_shrink must not be nan")
 
 
 def solve_from_seed(seed, problem, opts=None):
@@ -187,7 +198,7 @@ def solve_from_seed(seed, problem, opts=None):
     are rejected with increased damping instead of being evaluated.
     """
     opts = opts or SolveOptions()
-    check_problem_config(problem, seed)
+    _check_damping(opts)
     n, k = problem.n, problem.k
 
     config = seed
@@ -197,12 +208,13 @@ def solve_from_seed(seed, problem, opts=None):
     damping = opts.damping_init
     collision_streak = 0
 
+    def stop(iteration, termination):
+        return SolveResult(config, report.max_norm, iteration, termination,
+                           tuple(history))
+
     for iteration in range(opts.max_iterations):
         if report.max_norm <= opts.tol_res * residual_scale(config, problem):
-            return SolveResult(
-                config, report.max_norm, iteration, Termination.CONVERGED,
-                tuple(history),
-            )
+            return stop(iteration, Termination.CONVERGED)
         jac = jacobian(config, problem)
         jtj = jac.T @ jac
         grad = jac.T @ report.per_body.ravel()
@@ -218,32 +230,27 @@ def solve_from_seed(seed, problem, opts=None):
             if step is None or not np.all(np.isfinite(step)):
                 damping *= opts.damping_grow
                 if damping > opts.damping_max:
-                    return SolveResult(
-                        config, report.max_norm, iteration,
-                        Termination.STALLED, tuple(history),
-                    )
+                    return stop(iteration, Termination.STALLED)
                 continue
             trial_pts = config.points + step.reshape(n, k)
             trial_scale = max(
                 1.0, float(np.sqrt(np.sum(trial_pts ** 2, axis=1)).max())
             )
-            trial_min = _kernels.min_pair_distance(_kernels.as_input(trial_pts))
-            if trial_min < opts.guard_rel * trial_scale:
+            try:
+                trial_config = Configuration(trial_pts)
+            except ValueError:
+                # collided (or overflowed) below even the construction
+                # threshold, which lies under the guard
+                trial_config = None
+            if (trial_config is None
+                    or trial_config.min_distance < opts.guard_rel * trial_scale):
                 damping *= opts.damping_grow
                 collision_streak += 1
-                if collision_streak >= opts.max_collision_rejects:
-                    return SolveResult(
-                        config, report.max_norm, iteration,
-                        Termination.COLLISION_GUARD, tuple(history),
-                    )
-                if damping > opts.damping_max:
-                    return SolveResult(
-                        config, report.max_norm, iteration,
-                        Termination.COLLISION_GUARD, tuple(history),
-                    )
+                if (collision_streak >= opts.max_collision_rejects
+                        or damping > opts.damping_max):
+                    return stop(iteration, Termination.COLLISION_GUARD)
                 continue
             collision_streak = 0
-            trial_config = Configuration(trial_pts)
             trial_report = residual(trial_config, problem)
             trial_cost = float(np.linalg.norm(trial_report.per_body))
             if np.isfinite(trial_cost) and trial_cost < cost:
@@ -256,20 +263,11 @@ def solve_from_seed(seed, problem, opts=None):
             else:
                 damping *= opts.damping_grow
                 if damping > opts.damping_max:
-                    return SolveResult(
-                        config, report.max_norm, iteration,
-                        Termination.STALLED, tuple(history),
-                    )
+                    return stop(iteration, Termination.STALLED)
 
     if report.max_norm <= opts.tol_res * residual_scale(config, problem):
-        return SolveResult(
-            config, report.max_norm, opts.max_iterations,
-            Termination.CONVERGED, tuple(history),
-        )
-    return SolveResult(
-        config, report.max_norm, opts.max_iterations,
-        Termination.MAX_ITERATIONS, tuple(history),
-    )
+        return stop(opts.max_iterations, Termination.CONVERGED)
+    return stop(opts.max_iterations, Termination.MAX_ITERATIONS)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,29 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from releq import (
-    Configuration,
-    Problem,
-    acceleration,
-    jacobian,
-    pairwise_distances,
-    potential_energy,
-    residual,
-)
+from releq import Configuration, Problem
 
 import oracles
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Trigger jit compilation once so timed tests measure warm kernels.
-    prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
-    cfg = Configuration([[0.7, 0.0], [-0.7, 0.0]])
-    residual(cfg, prob)
-    jacobian(cfg, prob)
-    acceleration(cfg.points, prob)
-    potential_energy(cfg.points, prob)
-    pairwise_distances(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -116,6 +116,18 @@ class TestSolve:
         assert code == 0
         assert json.loads(out.read_text())["termination"] == "converged"
 
+    @pytest.mark.parametrize("flags", [
+        ["--damping-grow", "1.0"],
+        ["--damping-grow", "0.5"],
+        ["--damping-init", "0"],
+        ["--damping-init", "-1e-3"],
+        ["--damping-shrink", "nan"],
+    ])
+    def test_damping_flags_that_never_terminate_rejected(self, two_body_doc,
+                                                         flags):
+        # rejected steps would repeat forever without growing the damping
+        assert main(["solve", str(two_body_doc), *flags]) == 2
+
     def test_perturbed_seed_converges(self, two_body_doc, tmp_path, capsys):
         raw = json.loads(two_body_doc.read_text())
         raw["positions"][0][0] += 0.05
@@ -251,15 +263,10 @@ def test_unknown_command_exits_2():
     assert main(["frobnicate"]) == 2
 
 
-def test_jobs_default_from_env(monkeypatch):
-    from releq.cli import build_parser
-
-    monkeypatch.setenv("RELEQ_JOBS", "6")
-    args = build_parser().parse_args(["search", "x.json"])
-    assert args.jobs == 6
-    monkeypatch.setenv("RELEQ_JOBS", "bogus")
-    args = build_parser().parse_args(["search", "x.json"])
-    assert args.jobs == 1
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+def test_zero_samples_rejected(command, two_body_doc):
+    # one sample at t=0 would report a vacuous zero deviation
+    assert main([command, str(two_body_doc), "--samples", "0"]) == 2
 
 
 def test_out_path_in_missing_directory_is_io_error(two_body_doc, tmp_path):

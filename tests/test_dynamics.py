@@ -238,6 +238,12 @@ class TestDeviation:
         dev = relative_equilibrium_deviation(scaled, prob, 2 * np.pi)
         assert dev > 1e-2
 
+    def test_zero_samples_rejected(self, two_body):
+        # a single sample at t=0 would report a vacuous zero gap
+        prob, cfg = two_body
+        with pytest.raises(ValueError):
+            relative_equilibrium_deviation(cfg, prob, 1.0, samples=0)
+
 
 def test_trajectory_csv_layout(two_body):
     prob, cfg = two_body

@@ -1,83 +1,19 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from releq import _kernels
 
 
-def _random_inputs(rng, n=7, k=3):
-    pts = rng.normal(size=(n, k)) * 1.5
-    # keep pairs separated so powers of r stay moderate
-    pts += np.arange(n)[:, None] * 1.0
-    masses = rng.uniform(0.5, 2.0, size=n)
-    asq = np.zeros(k)
-    asq[: 2 * (k // 2)] = np.repeat(rng.uniform(0.5, 2.0, size=k // 2) ** 2, 2)
-    return _kernels.as_input(pts), masses, asq
-
-
-numba_only = pytest.mark.skipif(
-    _kernels.BACKEND != "numba", reason="numba backend not active"
-)
-
-
-@numba_only
-class TestBackendAgreement:
-    # the jitted loops and the vectorized numpy path must agree closely
-
-    def test_accel(self):
-        rng = np.random.default_rng(10)
-        for a in (-0.75, -1.5, -2.0):
-            pts, m, _ = _random_inputs(rng)
-            got = _kernels.accel_numba(pts, m, a)
-            ref = _kernels.accel_numpy(pts, m, a)
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
-
-    def test_residual_stack(self):
-        rng = np.random.default_rng(11)
-        for a in (-0.75, -1.5):
-            pts, m, asq = _random_inputs(rng)
-            got = _kernels.residual_stack_numba(pts, m, asq, a)
-            ref = _kernels.residual_stack_numpy(pts, m, asq, a)
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
-
-    def test_jacobian(self):
-        rng = np.random.default_rng(12)
-        pts, m, asq = _random_inputs(rng, n=5, k=4)
-        got = _kernels.jacobian_dense_numba(pts, m, asq, -1.5)
-        ref = _kernels.jacobian_dense_numpy(pts, m, asq, -1.5)
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
-
-    def test_distances(self):
-        rng = np.random.default_rng(13)
-        pts, _, _ = _random_inputs(rng)
-        assert np.allclose(_kernels.pair_distances_numba(pts),
-                           _kernels.pair_distances_numpy(pts), rtol=1e-15)
-        assert _kernels.min_pair_distance_numba(pts) == pytest.approx(
-            _kernels.min_pair_distance_numpy(pts), rel=1e-15)
-
-    def test_potential(self):
-        rng = np.random.default_rng(14)
-        for a in (-0.75, -1.0, -1.5):
-            pts, m, _ = _random_inputs(rng)
-            assert _kernels.potential_numba(pts, m, a) == pytest.approx(
-                _kernels.potential_numpy(pts, m, a), rel=1e-13)
-
-
-def test_env_flag_selects_numpy():
-    env = dict(os.environ, RELEQ_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import releq; print(releq.backend())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_backend_reports_a_name():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"
 
 
 def test_min_pair_distance_single_body():
-    assert _kernels.min_pair_distance_numpy(np.zeros((1, 3))) == np.inf
+    assert _kernels.min_pair_distance(np.zeros((1, 3))) == np.inf
+
+
+def test_min_pair_distance_matches_pair_distances():
+    rng = np.random.default_rng(13)
+    for n, k, scale in ((2, 2, 1.0), (7, 3, 1e-6), (12, 5, 1e6)):
+        pts = _kernels.as_input(rng.normal(size=(n, k)) * scale)
+        d = _kernels.pair_distances(pts)
+        assert _kernels.min_pair_distance(pts) == d[np.triu_indices(n, 1)].min()

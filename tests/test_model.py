@@ -3,8 +3,6 @@ import pytest
 
 from releq import (
     Configuration,
-    Exponent,
-    FrequencyMatrix,
     Problem,
     frequency_matrix,
     pairwise_distances,
@@ -71,7 +69,7 @@ class TestRotationMatrix:
         rng = np.random.default_rng(4)
         freqs = rng.uniform(0.3, 2.0, size=2)
         k = 5
-        asq = frequency_matrix(freqs, k).diag ** 2
+        asq = frequency_matrix(freqs, k) ** 2
         x = rng.normal(size=k)
         t = rng.uniform(0.0, 4.0)
         errs = []
@@ -107,7 +105,7 @@ class TestRotationGenerator:
             k = int(rng.integers(2, 7))
             freqs = rng.uniform(0.1, 3.0, size=k // 2)
             G = rotation_generator(freqs, k)
-            asq = frequency_matrix(freqs, k).diag ** 2
+            asq = frequency_matrix(freqs, k) ** 2
             assert np.abs(G @ G + np.diag(asq)).max() < 1e-14
 
     def test_is_derivative_of_rotation(self):
@@ -119,27 +117,19 @@ class TestRotationGenerator:
 
 class TestFrequencyMatrix:
     def test_single_plane(self):
-        assert np.array_equal(frequency_matrix([3.0], 2).diag, [3.0, 3.0])
+        assert np.array_equal(frequency_matrix([3.0], 2), [3.0, 3.0])
 
     def test_even_k(self):
-        assert np.array_equal(frequency_matrix([1.0, 2.0], 4).diag,
+        assert np.array_equal(frequency_matrix([1.0, 2.0], 4),
                               [1.0, 1.0, 2.0, 2.0])
 
     def test_odd_k_trailing_zero(self):
-        assert np.array_equal(frequency_matrix([1.0, 2.0], 5).diag,
+        assert np.array_equal(frequency_matrix([1.0, 2.0], 5),
                               [1.0, 1.0, 2.0, 2.0, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             frequency_matrix([1.0], 4)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            FrequencyMatrix(np.array([1.0, 2.0]))  # not an equal pair
-        with pytest.raises(ValueError):
-            FrequencyMatrix(np.array([1.0, 1.0, 2.0]))  # odd without 0
-        with pytest.raises(ValueError):
-            FrequencyMatrix(np.array([-1.0, -1.0]))
 
 
 class TestPairwiseDistances:
@@ -147,6 +137,7 @@ class TestPairwiseDistances:
         cfg = Configuration([[0.0, 0.0], [3.0, 4.0]])
         d = pairwise_distances(cfg)
         assert d[0, 1] == pytest.approx(5.0)
+        assert cfg.min_distance == d[0, 1]
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(6)
@@ -166,13 +157,12 @@ class TestPairwiseDistances:
 
 class TestDomainTypes:
     def test_exponent_domain(self):
-        with pytest.raises(ValueError):
-            Exponent(-0.3)
-        with pytest.raises(ValueError):
-            Exponent(-0.5)
-        with pytest.raises(ValueError):
-            Exponent(float("nan"))
-        assert Exponent(-0.51).a == -0.51
+        for bad in (-0.3, -0.5, float("nan")):
+            with pytest.raises(ValueError):
+                Problem(2, [1.0, 1.0], [1.0], bad)
+        prob = Problem(2, [1.0, 1.0], [1.0], -0.51)
+        assert prob.a == -0.51
+        assert type(prob.exponent) is float
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
@@ -210,3 +200,5 @@ class TestDomainTypes:
         prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
         with pytest.raises(ValueError):
             prob.masses[0] = 5.0
+        with pytest.raises(ValueError):
+            prob.asq[0] = 5.0
