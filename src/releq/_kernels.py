@@ -1,8 +1,13 @@
 """Hot numeric kernels: all-pairs forces, criterion residual, Jacobian.
 
 All kernels are vectorized numpy, take C-contiguous float64 arrays and
-are deterministic: summation order is the ascending body index.
+are deterministic: summation order is the ascending body index. The
+``*_batch`` kernels take a stack of configurations, shape (B, n, k), and
+give every member the bits the one-configuration form gives it alone;
+the one-configuration names wrap them.
 """
+
+import functools
 
 import numpy as np
 
@@ -17,54 +22,81 @@ def accel(positions, masses, a):
     return np.einsum("ij,ijk->ik", w, diff)
 
 
-def residual_stack(positions, masses, asq, a):
+def _pair_differences(positions):
+    """Q_i - Q_j and |Q_i - Q_j|^2 over a stack, and the body index."""
+    diff = positions[:, :, None, :] - positions[:, None, :, :]
+    r2 = np.einsum("bijk,bijk->bij", diff, diff)
+    return diff, r2, np.arange(positions.shape[1])
+
+
+def residual_stack_batch(positions, masses, asq, a):
     """Per-body balance defect asq*Q_i - sum_{j!=i} m_j (Q_i - Q_j) r^(2a)."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, 1.0)
-    w = masses[None, :] * r2 ** a
-    np.fill_diagonal(w, 0.0)
-    force = np.einsum("ij,ijk->ik", w, diff)
-    return positions * asq[None, :] - force
+    diff, r2, idx = _pair_differences(positions)
+    r2[:, idx, idx] = 1.0
+    w = masses * r2 ** a
+    w[:, idx, idx] = 0.0
+    force = np.einsum("bij,bijk->bik", w, diff)
+    return positions * asq - force
+
+
+def residual_stack(positions, masses, asq, a):
+    return residual_stack_batch(positions[None], masses, asq, a)[0]
+
+
+def jacobian_dense_batch(positions, masses, asq, a):
+    """Derivative of each stacked residual, shape (B, n*k, n*k)."""
+    count, n, k = positions.shape
+    diff, r2, idx = _pair_differences(positions)
+    r2[:, idx, idx] = 1.0
+    r2a = r2 ** a
+    coef = 2.0 * a * r2 ** (a - 1.0)
+    blocks = coef[..., None, None] * diff[..., :, None] * diff[..., None, :]
+    blocks += r2a[..., None, None] * np.eye(k)
+    blocks *= masses[:, None, None]
+    blocks[:, idx, idx] = 0.0
+    diag = np.diag(asq) - blocks.sum(axis=2)
+    blocks[:, idx, idx] = diag
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(count, n * k, n * k)
 
 
 def jacobian_dense(positions, masses, asq, a):
-    """Derivative of the stacked residual, shape (n*k, n*k)."""
-    n, k = positions.shape
-    diff = positions[:, None, :] - positions[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, 1.0)
-    r2a = r2 ** a
-    coef = 2.0 * a * r2 ** (a - 1.0)
-    blocks = coef[:, :, None, None] * diff[:, :, :, None] * diff[:, :, None, :]
-    blocks += r2a[:, :, None, None] * np.eye(k)[None, None, :, :]
-    blocks *= masses[None, :, None, None]
-    idx = np.arange(n)
-    blocks[idx, idx] = 0.0
-    diag = np.diag(asq)[None, :, :] - blocks.sum(axis=1)
-    blocks[idx, idx] = diag
-    return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+    return jacobian_dense_batch(positions[None], masses, asq, a)[0]
 
 
-def pair_distances(positions):
-    diff = positions[:, None, :] - positions[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, 0.0)
+def pair_distances_batch(positions):
+    """Pairwise distance matrices, zero diagonal, shape (B, n, n)."""
+    _, r2, idx = _pair_differences(positions)
+    r2[:, idx, idx] = 0.0
     return np.sqrt(r2)
 
 
+def pair_distances(positions):
+    return pair_distances_batch(positions[None])[0]
+
+
+def min_pair_distance_batch(positions):
+    """Smallest pairwise distance of each configuration; inf below 2 bodies."""
+    _, r2, idx = _pair_differences(positions)
+    r2[:, idx, idx] = np.inf
+    return np.sqrt(r2.min(axis=(1, 2), initial=np.inf))
+
+
 def min_pair_distance(positions):
-    """Smallest pairwise distance; inf for fewer than two bodies."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, np.inf)
-    return float(np.sqrt(r2.min(initial=np.inf)))
+    return float(min_pair_distance_batch(positions[None])[0])
+
+
+@functools.lru_cache(maxsize=16)
+def pair_indices(n):
+    """Row-major upper-triangle pairs (i < j) of n bodies; cached, read-only."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def potential(positions, masses, a):
     """Potential whose negative q_i-gradient is m_i times the acceleration."""
-    n = positions.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = pair_indices(positions.shape[0])
     r = np.sqrt(np.sum((positions[iu] - positions[ju]) ** 2, axis=1))
     if a == -1.0:
         phi = np.log(r)

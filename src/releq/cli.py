@@ -189,7 +189,7 @@ def _cmd_search(args):
     doc = _load(args)
     problem = doc.problem()
     classes = multistart_search(problem, args.trials, args.seed,
-                                opts=_solve_options(args), jobs=args.jobs)
+                                opts=_solve_options(args))
     converged = sum(cls.hits for cls in classes)
     print(f"search: trials={args.trials} converged={converged} "
           f"classes={len(classes)}")
@@ -250,7 +250,7 @@ def _cmd_probe(args):
     if args.omegas:
         omegas = [float(w) for w in args.omegas.split(",") if w.strip()]
         reports = frequency_sweep(problem, omegas, args.trials, args.seed,
-                                  jobs=args.jobs, opts=opts)
+                                  opts=opts)
         found = sum(r.classes_found for r in reports)
         print(f"probe: sweep omegas={len(omegas)} total_classes={found}")
         if args.format == "csv":
@@ -261,8 +261,7 @@ def _cmd_probe(args):
                 "reports": [r.to_dict() for r in reports],
             }))
         return EXIT_OK
-    report = bound_probe(problem, args.trials, args.seed, jobs=args.jobs,
-                         opts=opts)
+    report = bound_probe(problem, args.trials, args.seed, opts=opts)
     c_hat = report.min_pairwise_distance
     big_c = report.max_point_norm
     print(f"probe: classes={report.classes_found} "
@@ -330,6 +329,11 @@ def build_parser():
         p.add_argument("--damping-shrink", type=float, default=None,
                        help="damping factor on accepted steps (default 0.5)")
 
+    def add_jobs_flag(p):
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for existing command lines; has no "
+                            "effect (trials run in lock-step batches)")
+
     p = sub.add_parser("verify", help="check a document's positions against "
                                       "the balance criterion")
     add_common(p, with_format=False)
@@ -353,7 +357,7 @@ def build_parser():
     add_solver_flags(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    add_jobs_flag(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("continue", help="track the solution while the "
@@ -370,7 +374,7 @@ def build_parser():
     add_solver_flags(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    add_jobs_flag(p)
     p.add_argument("--omegas", default=None,
                    help="comma-separated frequency scalings: run one probe "
                         "per value (sweep)")

@@ -82,16 +82,23 @@ def residual_scale(config, problem):
     force terms span many orders of magnitude once a < -1/2.
     """
     pos = _checked_points(config, problem)
-    norms = np.sqrt(np.sum(pos ** 2, axis=1))
-    dist = _kernels.pair_distances(pos)
-    iu = np.triu_indices(problem.n, 1)
-    r = dist[iu]
+    return float(residual_scale_batch(pos[None], problem)[0])
+
+
+def residual_scale_batch(points, problem):
+    """``residual_scale`` of each configuration in a (B, n, k) stack."""
+    idx = np.arange(problem.n)
+    norms = np.sqrt(np.sum(points ** 2, axis=-1))
+    dist = _kernels.pair_distances_batch(points)
+    dist[:, idx, idx] = 1.0     # no 0 ** (2a+1); the diagonal is masked below
     # per-pair force magnitude m_j * r^(2a+1), larger mass of each pair
-    force_terms = np.maximum(problem.masses[iu[0]], problem.masses[iu[1]]) * r ** (
-        2.0 * problem.a + 1.0
-    )
-    rot_terms = np.abs(pos * problem.asq[None, :]).sum(axis=1)
-    return float(max(1.0, norms.max(), force_terms.max(), rot_terms.max()))
+    heavier = np.maximum.outer(problem.masses, problem.masses)
+    force_terms = heavier * dist ** (2.0 * problem.a + 1.0)
+    force_terms[:, idx, idx] = 0.0
+    rot_terms = np.abs(points * problem.asq).sum(axis=-1)
+    return np.maximum(1.0, np.max([norms.max(axis=-1),
+                                   force_terms.max(axis=(1, 2)),
+                                   rot_terms.max(axis=-1)], axis=0))
 
 
 def jacobian(config, problem):

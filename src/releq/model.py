@@ -27,9 +27,12 @@ def _frozen_array(values, dtype=float):
 
 
 def collision_threshold(points):
-    """Minimum admissible pairwise separation for a set of points."""
-    norms = np.sqrt(np.sum(np.asarray(points, dtype=float) ** 2, axis=1))
-    return COLLISION_RTOL * (1.0 + float(norms.max(initial=0.0)))
+    """Minimum admissible pairwise separation for a set of points.
+
+    Takes one (n, k) configuration or a (B, n, k) stack of them.
+    """
+    norms = np.sqrt(np.sum(np.asarray(points, dtype=float) ** 2, axis=-1))
+    return COLLISION_RTOL * (1.0 + norms.max(axis=-1, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,13 +76,12 @@ def _problem_summary(problem):
     }
 
 
-def bound_probe(problem, trials, rng_seed, jobs=1, opts=None):
+def bound_probe(problem, trials, rng_seed, opts=None):
     """Search for equilibria and report the global separation/extent bounds."""
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    classes = multistart_search(problem, trials, rng_seed, opts=opts,
-                                jobs=jobs)
+    classes = multistart_search(problem, trials, rng_seed, opts=opts)
 
     per_class = []
     for cls in classes:
@@ -114,7 +113,7 @@ def bound_probe(problem, trials, rng_seed, jobs=1, opts=None):
     )
 
 
-def frequency_sweep(problem_template, omega_values, trials, rng_seed, jobs=1,
+def frequency_sweep(problem_template, omega_values, trials, rng_seed,
                     opts=None):
     """One bound probe per frequency scaling, in input order.
 
@@ -129,8 +128,7 @@ def frequency_sweep(problem_template, omega_values, trials, rng_seed, jobs=1,
         scaled = problem_template.with_frequencies(
             problem_template.frequencies * omega
         )
-        reports.append(bound_probe(scaled, trials, rng_seed, jobs=jobs,
-                                   opts=opts))
+        reports.append(bound_probe(scaled, trials, rng_seed, opts=opts))
     return reports
 
 

@@ -4,24 +4,36 @@ Zeros of the balance defect are found by Levenberg-Marquardt iteration
 with the exact dense Jacobian. Rotational (and, for odd dimension,
 translational) gauge directions are left in the system and absorbed by
 the damping; configurations are canonicalized only after convergence.
-Multistart search draws seeds from per-trial generators split off the
-root seed by trial index, so results never depend on scheduling.
+
+The one LM implementation, ``_solve_batch``, runs a stack of seeds in
+lock-step rounds: each round makes one Jacobian, one factorization, one
+collision guard and one residual call for all open trials, while
+damping, collision streak and iteration count stay per trial, so every
+trial takes bit for bit the steps it takes alone. ``solve_from_seed`` is
+a batch of one. Multistart search solves consecutive trials in chunks
+capped by a working set of 2**16 float64 entries (512 KB) per
+(B, n*k, n*k) array, which keeps peak memory near that of a lone solve
+at large n. Each trial draws its seed from a generator split off the
+root seed by trial index, so results never depend on chunking.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .criterion import residual, residual_scale, jacobian
-from .model import Configuration, check_problem_config
+from .criterion import residual_scale_batch
+from .model import Configuration, check_problem_config, collision_threshold
 
 log = logging.getLogger(__name__)
+
+# A lock-step chunk of a multistart search holds so many trials that one
+# (B, n*k, n*k) array has at most this many float64 entries (512 KB).
+_BATCH_ENTRIES = 2 ** 16
 
 
 class Termination(enum.Enum):
@@ -120,8 +132,7 @@ def fingerprint(config, problem):
     check_problem_config(problem, config)
     pts = _kernels.as_input(config.points)
     dist = _kernels.pair_distances(pts)
-    iu = np.triu_indices(problem.n, 1)
-    sorted_distances = np.sort(dist[iu])
+    sorted_distances = np.sort(dist[_kernels.pair_indices(problem.n)])
     norms = np.sqrt(np.sum(pts ** 2, axis=1))
     order = np.lexsort((problem.masses * norms, problem.masses))
     weighted = (problem.masses * norms)[order]
@@ -188,86 +199,156 @@ def _check_damping(opts):
         raise ValueError(f"damping_grow must be > 1, got {opts.damping_grow}")
     if np.isnan(opts.damping_shrink):
         raise ValueError("damping_shrink must not be nan")
+    if not np.isfinite(opts.damping_max):
+        raise ValueError(f"damping_max must be finite, got {opts.damping_max}")
+
+
+def _damped_steps(lhs, rhs):
+    """Solve each damped system; a singular one gives a row of NaN."""
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole stack: solve one by one
+        steps = np.full(rhs.shape, np.nan)
+        for i in range(len(rhs)):
+            try:
+                steps[i] = np.linalg.solve(lhs[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _costs(per_body):
+    """Euclidean norm of each defect, rounded as ``np.linalg.norm`` does."""
+    count, n, k = per_body.shape
+    flat = per_body.reshape(count, 1, n * k)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+
+
+def _max_norms(per_body):
+    return np.sqrt(np.sum(per_body ** 2, axis=-1)).max(axis=-1)
+
+
+def _solve_batch(seeds, problem, opts):
+    """Levenberg-Marquardt on a (B, n, k) stack of seeds, in lock-step rounds.
+
+    Each round, every trial that has just started or just accepted a step
+    runs the convergence test and, if still open, is linearized (Jacobian,
+    normal matrix, gradient, damping base); then every open trial makes
+    one damped attempt. Damping, collision streak and iteration count are
+    per trial, and each trial makes exactly the decisions and the
+    arithmetic of a lone solve: trial steps are accepted only when they
+    decrease the trial's stacked residual norm, and steps whose minimum
+    separation falls below the collision guard are rejected with
+    increased damping instead of being evaluated.
+    """
+    _check_damping(opts)
+    n, k = problem.n, problem.k
+    masses, asq, a = problem.masses, problem.asq, problem.a
+    points = np.array(seeds, dtype=float)
+    count = len(points)
+    per_body = _kernels.residual_stack_batch(points, masses, asq, a)
+    max_norm = _max_norms(per_body)
+    cost = _costs(per_body)
+    history = [[float(value)] for value in max_norm]
+    damping = np.full(count, opts.damping_init, dtype=float)
+    streak = np.zeros(count, dtype=int)
+    iterations = np.zeros(count, dtype=int)
+    jtj = np.empty((count, n * k, n * k))
+    grad = np.empty((count, n * k))
+    mu_base = np.empty(count)
+    fresh = np.ones(count, dtype=bool)    # started or just accepted a step
+    active = np.ones(count, dtype=bool)
+    results = [None] * count
+
+    def stop(done, termination):
+        for i in done:
+            results[i] = SolveResult(
+                Configuration(points[i]), float(max_norm[i]),
+                int(iterations[i]), termination, tuple(history[i]))
+        active[done] = False
+
+    def reject(rejected, termination, give_up=False):
+        # grow the damping; stop trials past damping_max (or giving up)
+        damping[rejected] *= opts.damping_grow
+        stop(rejected[give_up | (damping[rejected] > opts.damping_max)],
+             termination)
+
+    while True:
+        idx = np.flatnonzero(active & fresh)
+        if idx.size:
+            scale = residual_scale_batch(points[idx], problem)
+            converged = max_norm[idx] <= opts.tol_res * scale
+            stop(idx[converged], Termination.CONVERGED)
+            idx = idx[~converged]
+            spent = iterations[idx] >= opts.max_iterations
+            iterations[idx[spent]] = opts.max_iterations
+            stop(idx[spent], Termination.MAX_ITERATIONS)
+            idx = idx[~spent]
+            jac = _kernels.jacobian_dense_batch(points[idx], masses, asq, a)
+            jac_t = jac.transpose(0, 2, 1)
+            normal = jac_t @ jac
+            defect = per_body[idx].reshape(len(idx), n * k, 1)
+            jtj[idx] = normal
+            grad[idx] = (jac_t @ defect)[..., 0]
+            mu_base[idx] = np.maximum(
+                np.diagonal(normal, axis1=1, axis2=2).max(axis=1),
+                np.finfo(float).tiny)
+            fresh[idx] = False
+
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            return results
+        lhs = jtj[idx] + (damping[idx] * mu_base[idx])[:, None, None] \
+            * np.eye(n * k)
+        steps = _damped_steps(lhs, -grad[idx])
+        finite = np.isfinite(steps).all(axis=1)
+        reject(idx[~finite], Termination.STALLED)
+        idx = idx[finite]
+
+        trial = points[idx] + steps[finite].reshape(-1, n, k)
+        trial_scale = np.maximum(
+            1.0, np.sqrt(np.sum(trial ** 2, axis=-1)).max(axis=-1))
+        # a trial passes if it would make a Configuration (finite, above
+        # the construction threshold, which lies under the guard) and its
+        # minimum separation is not below guard_rel times its size
+        passed = np.isfinite(trial).all(axis=(1, 2))
+        whole = np.flatnonzero(passed)
+        min_dist = _kernels.min_pair_distance_batch(trial[whole])
+        passed[whole] = ((min_dist > collision_threshold(trial[whole]))
+                         & ~(min_dist < opts.guard_rel * trial_scale[whole]))
+        guarded = idx[~passed]
+        streak[guarded] += 1
+        reject(guarded, Termination.COLLISION_GUARD,
+               streak[guarded] >= opts.max_collision_rejects)
+        idx, trial = idx[passed], trial[passed]
+        streak[idx] = 0
+
+        trial_body = _kernels.residual_stack_batch(trial, masses, asq, a)
+        trial_cost = _costs(trial_body)
+        better = np.isfinite(trial_cost) & (trial_cost < cost[idx])
+        reject(idx[~better], Termination.STALLED)
+
+        idx = idx[better]
+        points[idx] = trial[better]
+        per_body[idx] = trial_body[better]
+        cost[idx] = trial_cost[better]
+        max_norm[idx] = _max_norms(trial_body[better])
+        for i in idx:
+            history[i].append(float(max_norm[i]))
+        damping[idx] = np.maximum(damping[idx] * opts.damping_shrink, 1e-15)
+        iterations[idx] += 1
+        fresh[idx] = True
 
 
 def solve_from_seed(seed, problem, opts=None):
     """Levenberg-Marquardt iteration on the stacked balance defect.
 
-    Trial steps are accepted only when they decrease the stacked residual
-    norm; steps whose minimum separation falls below the collision guard
-    are rejected with increased damping instead of being evaluated.
+    The solve is a batch of one (see ``_solve_batch``), so it takes the
+    same steps as the same seed inside a multistart search.
     """
-    opts = opts or SolveOptions()
-    _check_damping(opts)
-    n, k = problem.n, problem.k
-
-    config = seed
-    report = residual(config, problem)
-    cost = float(np.linalg.norm(report.per_body))
-    history = [report.max_norm]
-    damping = opts.damping_init
-    collision_streak = 0
-
-    def stop(iteration, termination):
-        return SolveResult(config, report.max_norm, iteration, termination,
-                           tuple(history))
-
-    for iteration in range(opts.max_iterations):
-        if report.max_norm <= opts.tol_res * residual_scale(config, problem):
-            return stop(iteration, Termination.CONVERGED)
-        jac = jacobian(config, problem)
-        jtj = jac.T @ jac
-        grad = jac.T @ report.per_body.ravel()
-        mu_base = max(float(np.diag(jtj).max()), np.finfo(float).tiny)
-
-        accepted = False
-        while not accepted:
-            lhs = jtj + (damping * mu_base) * np.eye(n * k)
-            try:
-                step = np.linalg.solve(lhs, -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is None or not np.all(np.isfinite(step)):
-                damping *= opts.damping_grow
-                if damping > opts.damping_max:
-                    return stop(iteration, Termination.STALLED)
-                continue
-            trial_pts = config.points + step.reshape(n, k)
-            trial_scale = max(
-                1.0, float(np.sqrt(np.sum(trial_pts ** 2, axis=1)).max())
-            )
-            try:
-                trial_config = Configuration(trial_pts)
-            except ValueError:
-                # collided (or overflowed) below even the construction
-                # threshold, which lies under the guard
-                trial_config = None
-            if (trial_config is None
-                    or trial_config.min_distance < opts.guard_rel * trial_scale):
-                damping *= opts.damping_grow
-                collision_streak += 1
-                if (collision_streak >= opts.max_collision_rejects
-                        or damping > opts.damping_max):
-                    return stop(iteration, Termination.COLLISION_GUARD)
-                continue
-            collision_streak = 0
-            trial_report = residual(trial_config, problem)
-            trial_cost = float(np.linalg.norm(trial_report.per_body))
-            if np.isfinite(trial_cost) and trial_cost < cost:
-                accepted = True
-                config = trial_config
-                report = trial_report
-                cost = trial_cost
-                history.append(report.max_norm)
-                damping = max(damping * opts.damping_shrink, 1e-15)
-            else:
-                damping *= opts.damping_grow
-                if damping > opts.damping_max:
-                    return stop(iteration, Termination.STALLED)
-
-    if report.max_norm <= opts.tol_res * residual_scale(config, problem):
-        return stop(opts.max_iterations, Termination.CONVERGED)
-    return stop(opts.max_iterations, Termination.MAX_ITERATIONS)
+    check_problem_config(problem, seed)
+    return _solve_batch(seed.points[None], problem, opts or SolveOptions())[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,39 +360,38 @@ class SearchClass:
     hits: int
 
 
-def _run_trial(problem, rng_seed, trial, opts):
-    rng = np.random.default_rng([rng_seed, trial])
-    seed = sample_seed(problem, rng)
-    return solve_from_seed(seed, problem, opts)
+def _trial_results(problem, trials, rng_seed, opts):
+    """Solve trials 0..trials-1 in consecutive lock-step chunks, in order.
+
+    Trial t draws its seed from the generator (rng_seed, t); the seeds of
+    a chunk are drawn when the chunk starts.
+    """
+    chunk = max(1, _BATCH_ENTRIES // (problem.n * problem.k) ** 2)
+    for start in range(0, trials, chunk):
+        seeds = [
+            sample_seed(problem, np.random.default_rng([rng_seed, t])).points
+            for t in range(start, min(start + chunk, trials))
+        ]
+        yield from _solve_batch(np.array(seeds), problem, opts)
 
 
-def multistart_search(problem, trials, rng_seed, opts=None, jobs=1,
+def multistart_search(problem, trials, rng_seed, opts=None,
                       fingerprint_rtol=1e-6):
     """Solve from ``trials`` random seeds and deduplicate the results.
 
     Returns the deduplicated converged results as SearchClass records in
     order of first discovery. Each trial draws its generator from
-    (rng_seed, trial index), so the output is a deterministic function of
-    (problem, trials, rng_seed) regardless of ``jobs``.
+    (rng_seed, trial index) and is solved as it would be alone, so the
+    output is a deterministic function of (problem, trials, rng_seed).
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     opts = opts or SolveOptions()
-    jobs = max(1, int(jobs))
-
-    if jobs == 1:
-        raw = [_run_trial(problem, rng_seed, t, opts) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            raw = list(
-                pool.map(lambda t: _run_trial(problem, rng_seed, t, opts),
-                         range(trials))
-            )
 
     classes = []
     dropped = 0
-    for result in raw:
+    for result in _trial_results(problem, trials, rng_seed, opts):
         if not result.converged:
             dropped += 1
             continue

@@ -17,3 +17,30 @@ def test_min_pair_distance_matches_pair_distances():
         pts = _kernels.as_input(rng.normal(size=(n, k)) * scale)
         d = _kernels.pair_distances(pts)
         assert _kernels.min_pair_distance(pts) == d[np.triu_indices(n, 1)].min()
+
+
+def test_pair_indices_cached_and_read_only():
+    for n in (2, 5, 12):
+        iu, ju = _kernels.pair_indices(n)
+        expected = np.triu_indices(n, 1)
+        assert np.array_equal(iu, expected[0])
+        assert np.array_equal(ju, expected[1])
+        assert not iu.flags.writeable and not ju.flags.writeable
+        assert _kernels.pair_indices(n)[0] is iu
+
+
+def test_batch_kernels_match_one_configuration():
+    rng = np.random.default_rng(14)
+    masses = rng.uniform(0.5, 2.0, 6)
+    asq = np.array([1.0, 1.0, 0.0])
+    stack = rng.normal(size=(4, 6, 3))
+    residuals = _kernels.residual_stack_batch(stack, masses, asq, -1.5)
+    jacobians = _kernels.jacobian_dense_batch(stack, masses, asq, -1.5)
+    distances = _kernels.min_pair_distance_batch(stack)
+    for b, pts in enumerate(stack):
+        pts = _kernels.as_input(pts)
+        assert np.array_equal(
+            residuals[b], _kernels.residual_stack(pts, masses, asq, -1.5))
+        assert np.array_equal(
+            jacobians[b], _kernels.jacobian_dense(pts, masses, asq, -1.5))
+        assert distances[b] == _kernels.min_pair_distance(pts)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from releq import solver
 from releq import (
     Configuration,
     Problem,
@@ -66,6 +67,15 @@ class TestSolveFromSeed:
         result = solve_from_seed(cfg, prob, SolveOptions(tol_res=0.0))
         assert result.termination is Termination.STALLED
         assert result.residual_max < 1e-14
+
+    @pytest.mark.parametrize("damping_max", [np.nan, np.inf])
+    def test_non_finite_damping_max_rejected(self, two_body, damping_max):
+        # rejected steps grow the damping until it exceeds damping_max,
+        # which never happens for nan or inf
+        prob, cfg = two_body
+        opts = SolveOptions(tol_res=0.0, damping_max=damping_max)
+        with pytest.raises(ValueError, match="damping_max"):
+            solve_from_seed(cfg, prob, opts)
 
     def test_zero_iteration_budget(self, two_body):
         prob, cfg = two_body
@@ -142,17 +152,72 @@ class TestMultistart:
         with pytest.raises(ValueError):
             multistart_search(prob, 0, 1)
 
-    def test_deterministic_across_jobs(self):
+    @pytest.mark.parametrize("n, k, a, trials, opts, termination", [
+        (3, 2, -1.5, 10, SolveOptions(), Termination.CONVERGED),
+        (5, 3, -1.5, 6, SolveOptions(max_iterations=5),
+         Termination.MAX_ITERATIONS),
+        (4, 2, -1.5, 6, SolveOptions(tol_res=0.0, max_iterations=60),
+         Termination.STALLED),
+        (7, 3, -2.5, 10, SolveOptions(guard_rel=0.1, max_collision_rejects=2),
+         Termination.COLLISION_GUARD),
+    ], ids=["converged", "max_iterations", "stalled", "collision_guard"])
+    def test_trials_match_lone_solves(self, monkeypatch, n, k, a, trials,
+                                      opts, termination):
+        # every trial of a lock-step chunk ends exactly where its seed
+        # solved alone ends, across chunk boundaries (chunks of 4 here)
+        prob = Problem(k, np.ones(n), np.ones(k // 2), a)
+        seeds = [sample_seed(prob, np.random.default_rng([17, t]))
+                 for t in range(trials)]
+        lone = [solve_from_seed(seed, prob, opts) for seed in seeds]
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * (n * k) ** 2)
+        batched, chunks = [], []
+        solve_batch = solver._solve_batch
+
+        def recording(stack, problem, options):
+            chunks.append(len(stack))
+            results = solve_batch(stack, problem, options)
+            batched.extend(results)
+            return results
+
+        monkeypatch.setattr(solver, "_solve_batch", recording)
+        multistart_search(prob, trials, 17, opts)
+        assert chunks == [4] * (trials // 4) + [trials % 4]
+        assert termination in {result.termination for result in batched}
+        for mine, alone in zip(batched, lone, strict=True):
+            assert np.array_equal(mine.config.points, alone.config.points)
+            assert mine.residual_max == alone.residual_max
+            assert mine.iterations == alone.iterations
+            assert mine.termination is alone.termination
+            assert mine.residual_history == alone.residual_history
+
+    def test_singular_stack_falls_back_to_lone_solves(self, monkeypatch):
+        # a stacked solve fails as a whole if one matrix is singular; the
+        # per-trial fallback must reproduce the stacked results exactly
         prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -1.5)
-        serial = multistart_search(prob, 40, 9, jobs=1)
-        threaded = multistart_search(prob, 40, 9, jobs=4)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            assert a.hits == b.hits
-            assert np.array_equal(a.result.config.points,
-                                  b.result.config.points)
-            assert np.array_equal(a.fingerprint.sorted_distances,
-                                  b.fingerprint.sorted_distances)
+        expected = multistart_search(prob, 40, 9)
+        real_solve = np.linalg.solve
+        stacked_calls = []
+
+        def refuse_stacks(lhs, rhs):
+            if np.ndim(lhs) == 3:
+                stacked_calls.append(len(lhs))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(lhs, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", refuse_stacks)
+        classes = multistart_search(prob, 40, 9)
+        assert stacked_calls
+        assert len(classes) == len(expected)
+        for mine, theirs in zip(classes, expected):
+            assert mine.hits == theirs.hits
+            assert np.array_equal(mine.result.config.points,
+                                  theirs.result.config.points)
+            assert mine.result.residual_max == theirs.result.residual_max
+            assert mine.result.iterations == theirs.result.iterations
+            assert mine.result.residual_history == \
+                theirs.result.residual_history
+            assert np.array_equal(mine.fingerprint.sorted_distances,
+                                  theirs.fingerprint.sorted_distances)
 
     def test_seed_radius_formula(self):
         prob = Problem(2, [1.0, 3.0], [2.0], -1.5)
