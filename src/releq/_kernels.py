@@ -4,7 +4,9 @@ All kernels are vectorized numpy, take C-contiguous float64 arrays and
 are deterministic: summation order is the ascending body index. The
 ``*_batch`` kernels take a stack of configurations, shape (B, n, k), and
 give every member the bits the one-configuration form gives it alone;
-the one-configuration names wrap them.
+the one-configuration names wrap them, and no kernel calls them. The
+force law is written once: ``residual_stack_batch`` is Asq Q plus
+``accel_batch``.
 """
 
 import functools
@@ -12,31 +14,28 @@ import functools
 import numpy as np
 
 
-def accel(positions, masses, a):
-    """Accelerations sum_{j!=i} m_j (q_j - q_i) |q_j - q_i|^(2a), shape (n, k)."""
-    diff = positions[None, :, :] - positions[:, None, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, 1.0)
-    w = masses[None, :] * r2 ** a
-    np.fill_diagonal(w, 0.0)
-    return np.einsum("ij,ijk->ik", w, diff)
-
-
-def _pair_differences(positions):
-    """Q_i - Q_j and |Q_i - Q_j|^2 over a stack, and the body index."""
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
+def _pair_differences(positions, diagonal):
+    """Q_j - Q_i and |Q_j - Q_i|^2 at [b, i, j], the latter's diagonal set."""
+    count, n = positions.shape[:2]
+    diff = positions[:, None, :, :] - positions[:, :, None, :]
     r2 = np.einsum("bijk,bijk->bij", diff, diff)
-    return diff, r2, np.arange(positions.shape[1])
+    r2.reshape(count, n * n)[:, :: n + 1] = diagonal
+    return diff, r2
+
+
+def accel_batch(positions, masses, a):
+    """Accelerations sum_{j!=i} m_j (Q_j - Q_i) |Q_j - Q_i|^(2a), shape (B, n, k)."""
+    diff, r2 = _pair_differences(positions, np.inf)    # inf ** a == 0
+    return np.einsum("bij,bijk->bik", masses * r2 ** a, diff)
+
+
+def accel(positions, masses, a):
+    return accel_batch(positions[None], masses, a)[0]
 
 
 def residual_stack_batch(positions, masses, asq, a):
     """Per-body balance defect asq*Q_i - sum_{j!=i} m_j (Q_i - Q_j) r^(2a)."""
-    diff, r2, idx = _pair_differences(positions)
-    r2[:, idx, idx] = 1.0
-    w = masses * r2 ** a
-    w[:, idx, idx] = 0.0
-    force = np.einsum("bij,bijk->bik", w, diff)
-    return positions * asq - force
+    return positions * asq + accel_batch(positions, masses, a)
 
 
 def residual_stack(positions, masses, asq, a):
@@ -46,8 +45,8 @@ def residual_stack(positions, masses, asq, a):
 def jacobian_dense_batch(positions, masses, asq, a):
     """Derivative of each stacked residual, shape (B, n*k, n*k)."""
     count, n, k = positions.shape
-    diff, r2, idx = _pair_differences(positions)
-    r2[:, idx, idx] = 1.0
+    diff, r2 = _pair_differences(positions, 1.0)
+    idx = np.arange(n)
     r2a = r2 ** a
     coef = 2.0 * a * r2 ** (a - 1.0)
     blocks = coef[..., None, None] * diff[..., :, None] * diff[..., None, :]
@@ -65,8 +64,7 @@ def jacobian_dense(positions, masses, asq, a):
 
 def pair_distances_batch(positions):
     """Pairwise distance matrices, zero diagonal, shape (B, n, n)."""
-    _, r2, idx = _pair_differences(positions)
-    r2[:, idx, idx] = 0.0
+    _, r2 = _pair_differences(positions, 0.0)
     return np.sqrt(r2)
 
 
@@ -76,8 +74,7 @@ def pair_distances(positions):
 
 def min_pair_distance_batch(positions):
     """Smallest pairwise distance of each configuration; inf below 2 bodies."""
-    _, r2, idx = _pair_differences(positions)
-    r2[:, idx, idx] = np.inf
+    _, r2 = _pair_differences(positions, np.inf)
     return np.sqrt(r2.min(axis=(1, 2), initial=np.inf))
 
 

@@ -16,13 +16,12 @@ import sys
 
 import numpy as np
 
-from . import _kernels
 from .criterion import (
     lemma_identity_gap,
     residual,
     weighted_centroid_residual,
 )
-from .documents import parse_document, write_text_atomic
+from .documents import load_document, write_text_atomic
 from .dynamics import (
     integrate,
     relative_equilibrium_deviation,
@@ -66,12 +65,6 @@ def _json_report(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _load(args):
-    with open(args.input, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_document(text)
-
-
 def _need_positions(doc):
     config = doc.configuration()
     if config is None:
@@ -103,7 +96,7 @@ def _solve_options(args):
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args):
-    doc = _load(args)
+    doc = load_document(args.input)
     problem = doc.problem()
     config = _need_positions(doc)
 
@@ -133,7 +126,7 @@ def _cmd_verify(args):
 
 
 def _cmd_solve(args):
-    doc = _load(args)
+    doc = load_document(args.input)
     problem = doc.problem()
     seed = _need_positions(doc)
     result = solve_from_seed(seed, problem, _solve_options(args))
@@ -186,7 +179,7 @@ def _search_csv(classes):
 
 
 def _cmd_search(args):
-    doc = _load(args)
+    doc = load_document(args.input)
     problem = doc.problem()
     classes = multistart_search(problem, args.trials, args.seed,
                                 opts=_solve_options(args))
@@ -201,7 +194,7 @@ def _cmd_search(args):
 
 
 def _cmd_continue(args):
-    doc = _load(args)
+    doc = load_document(args.input)
     problem = doc.problem()
     seed = _need_positions(doc)
     opts = _solve_options(args)
@@ -215,12 +208,11 @@ def _cmd_continue(args):
                                        args.steps, opts)
     rows = []
     for a_value, result in zip(schedule, results):
-        pts = _kernels.as_input(result.config.points)
         rows.append({
             "a": float(a_value),
             **result.to_dict(),
-            "min_pairwise_distance": float(_kernels.min_pair_distance(pts)),
-            "max_point_norm": float(np.sqrt(np.sum(pts ** 2, axis=1)).max()),
+            "min_pairwise_distance": result.config.min_distance,
+            "max_point_norm": result.config.max_norm,
         })
     completed = sum(1 for r in results if r.converged)
     print(f"continue: steps={args.steps} completed={completed} "
@@ -244,7 +236,7 @@ def _cmd_continue(args):
 
 
 def _cmd_probe(args):
-    doc = _load(args)
+    doc = load_document(args.input)
     problem = doc.problem()
     opts = _solve_options(args)
     if args.omegas:
@@ -276,7 +268,7 @@ def _cmd_probe(args):
 
 
 def _cmd_integrate(args):
-    doc = _load(args)
+    doc = load_document(args.input)
     problem = doc.problem()
     config = _need_positions(doc)
     t_end = _horizon(problem, args.t_end)
@@ -408,6 +400,10 @@ def main(argv=None):
         return EXIT_BAD_INPUT
     except SingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    except ArithmeticError as exc:
+        # e.g. a force term that overflows a Python float
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

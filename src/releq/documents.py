@@ -93,29 +93,17 @@ def parse_document(text):
     if not isinstance(dimension, int) or isinstance(dimension, bool):
         raise DocumentError("field 'dimension' must be an integer",
                             field="dimension")
-    if dimension < 2:
-        raise DocumentError("field 'dimension' must be >= 2", field="dimension")
     exponent = raw["exponent"]
     if not isinstance(exponent, (int, float)) or isinstance(exponent, bool):
         raise DocumentError("field 'exponent' must be a number",
                             field="exponent")
-    if not float(exponent) < -0.5:
-        raise DocumentError(
-            f"field 'exponent' must satisfy a < -1/2, got {exponent}",
-            field="exponent",
-        )
     masses = _number_list(raw["masses"], "masses")
-    if len(masses) < 2:
-        raise DocumentError("field 'masses' needs at least 2 entries",
-                            field="masses")
-    if any(m <= 0.0 for m in masses):
-        raise DocumentError("field 'masses' must be strictly positive",
-                            field="masses")
-    frequencies = _number_list(raw["frequencies"], "frequencies",
-                               length=dimension // 2)
-    if any(w <= 0.0 for w in frequencies):
-        raise DocumentError("field 'frequencies' must be strictly positive",
-                            field="frequencies")
+    frequencies = _number_list(raw["frequencies"], "frequencies")
+    # value ranges are Problem's to check
+    try:
+        Problem(dimension, masses, frequencies, exponent)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
     positions = raw.get("positions")
     if positions is not None:
@@ -140,7 +128,6 @@ def parse_document(text):
     doc = ProblemDocument(version, dimension, float(exponent), masses,
                           frequencies, positions, dict(metadata))
     try:
-        doc.problem()
         doc.configuration()
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

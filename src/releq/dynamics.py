@@ -15,8 +15,8 @@ import numpy as np
 from . import _kernels
 from .errors import SingularityError
 from .model import (
+    Configuration,
     check_problem_config,
-    collision_threshold,
     rotation_generator,
     rotation_matrix,
 )
@@ -28,23 +28,17 @@ GUARD_RTOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PhaseState:
-    """Positions, velocities and time of the n bodies."""
+    """Positions (a valid ``Configuration``), velocities and time."""
 
     positions: np.ndarray
     velocities: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
+        pos = Configuration(self.positions).points
         vel = np.array(self.velocities, dtype=float)
-        if pos.ndim != 2 or pos.shape != vel.shape:
+        if pos.shape != vel.shape:
             raise ValueError("positions and velocities must share an (n, k) shape")
-        min_dist = _kernels.min_pair_distance(_kernels.as_input(pos))
-        if not min_dist > collision_threshold(pos):
-            raise ValueError(
-                f"colliding state: min pairwise distance {min_dist:.3e}"
-            )
-        pos.setflags(write=False)
         vel.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
@@ -75,7 +69,11 @@ class Trajectory:
         return PhaseState(self.positions[idx], self.velocities[idx], self.times[idx])
 
 
-def _guard_positions(positions, problem):
+def _guard_positions(positions, problem, time=None):
+    """Shape-checked kernel input; raises SingularityError on near-collision.
+
+    ``time`` is the integration time to report, None for static calls.
+    """
     pos = _kernels.as_input(positions)
     if pos.shape != (problem.n, problem.k):
         raise ValueError(
@@ -84,7 +82,11 @@ def _guard_positions(positions, problem):
         )
     scale = max(1.0, float(np.sqrt(np.sum(pos ** 2, axis=1)).max()))
     if _kernels.min_pair_distance(pos) < GUARD_RTOL * scale:
-        raise SingularityError("bodies too close: force evaluation aborted")
+        if time is None:
+            raise SingularityError("bodies too close: force evaluation aborted")
+        raise SingularityError(
+            f"near-collision at t={time:.6g}: integration aborted", time=time
+        )
     return pos
 
 
@@ -175,12 +177,12 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     problem : Problem
         Masses and force exponent (frequencies are not used here).
     t_end : float
-        Final time, strictly greater than ``initial.time``.
+        Finite final time, strictly greater than ``initial.time``.
     tol : float
         Per-step local error tolerance, in [1e-13, 1e-3]; used for both
         the absolute and relative parts of the error norm.
     sample_times : array_like, optional
-        Strictly increasing times in [initial.time, t_end] at which to
+        Strictly increasing finite times in [initial.time, t_end] at which to
         record the state. Defaults to 65 uniform samples including both
         endpoints.
 
@@ -197,13 +199,15 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
     t0 = initial.time
     t_end = float(t_end)
-    if not t_end > t0:
-        raise ValueError("t_end must exceed the initial time")
+    if not t0 < t_end < np.inf:
+        raise ValueError("t_end must be finite and exceed the initial time")
     if sample_times is None:
         sample_times = np.linspace(t0, t_end, 65)
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a nonempty 1-d array")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("sample_times must be finite")
     if np.any(np.diff(samples) <= 0.0):
         raise ValueError("sample_times must be strictly increasing")
     if samples[0] < t0 or samples[-1] > t_end + 1e-12 * max(1.0, abs(t_end)):
@@ -224,17 +228,9 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
         out[nk:] = acc.ravel()
         return out
 
-    def guard(y, t):
-        pos = y[:nk].reshape(n, k)
-        scale = max(1.0, float(np.sqrt(np.sum(pos ** 2, axis=1)).max()))
-        if _kernels.min_pair_distance(_kernels.as_input(pos)) < GUARD_RTOL * scale:
-            raise SingularityError(
-                f"near-collision at t={t:.6g}: integration aborted", time=t
-            )
-
     y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
     t = t0
-    guard(y, t)
+    _guard_positions(y[:nk].reshape(n, k), problem, time=t)
     f = rhs(y)
     h = min(_initial_step(rhs, t0, y, f, tol), t_end - t0)
     err_old = 1e-4
@@ -245,9 +241,10 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
 
     for s_idx, target in enumerate(samples):
         while t < target:
-            guard(y, t)
+            _guard_positions(y[:nk].reshape(n, k), problem, time=t)
             h_step = min(h, target - t)
-            if h_step < 1e-14 * max(1.0, abs(t)):
+            # a NaN step (from a non-finite force) also underflows
+            if not h_step >= 1e-14 * max(1.0, abs(t)):
                 raise SingularityError(
                     f"step size underflow at t={t:.6g}", time=t
                 )

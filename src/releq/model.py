@@ -66,18 +66,19 @@ class Problem:
         masses = _frozen_array(self.masses)
         if masses.ndim != 1 or masses.size < 2:
             raise ValueError("masses must be a vector of at least 2 entries")
-        if not np.all(masses > 0.0):
-            raise ValueError("all masses must be strictly positive")
+        if not np.all((masses > 0.0) & np.isfinite(masses)):
+            raise ValueError("all masses must be finite and strictly positive")
         freqs = _frozen_array(self.frequencies)
         if freqs.ndim != 1 or freqs.size != k // 2:
             raise ValueError(
                 f"expected floor(k/2) = {k // 2} frequencies, got {freqs.size}"
             )
-        if not np.all(freqs > 0.0):
-            raise ValueError("all frequencies must be strictly positive")
+        if not np.all((freqs > 0.0) & np.isfinite(freqs)):
+            raise ValueError("all frequencies must be finite and strictly positive")
         exponent = float(self.exponent)
-        if not exponent < -0.5:
-            raise ValueError(f"exponent must satisfy a < -0.5, got {exponent}")
+        if not -np.inf < exponent < -0.5:
+            raise ValueError(
+                f"exponent must be finite and satisfy a < -1/2, got {exponent}")
         asq = frequency_matrix(freqs, k) ** 2
         asq.setflags(write=False)
         object.__setattr__(self, "k", k)

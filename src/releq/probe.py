@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .solver import multistart_search
 
 
@@ -83,15 +80,11 @@ def bound_probe(problem, trials, rng_seed, opts=None):
         raise ValueError(f"trials must be >= 1, got {trials}")
     classes = multistart_search(problem, trials, rng_seed, opts=opts)
 
-    per_class = []
-    for cls in classes:
-        pts = _kernels.as_input(cls.result.config.points)
-        per_class.append(ClassStats(
-            float(_kernels.min_pair_distance(pts)),
-            float(np.sqrt(np.sum(pts ** 2, axis=1)).max()),
-            cls.result.residual_max,
-            cls.hits,
-        ))
+    per_class = [
+        ClassStats(cls.result.config.min_distance, cls.result.config.max_norm,
+                   cls.result.residual_max, cls.hits)
+        for cls in classes
+    ]
 
     converged = sum(cls.hits for cls in classes)
     if per_class:
@@ -118,18 +111,15 @@ def frequency_sweep(problem_template, omega_values, trials, rng_seed,
     """One bound probe per frequency scaling, in input order.
 
     Each omega scales all of the template's rotation rates; the list may
-    be empty, in which case no probes run.
+    be empty, in which case no probes run. Every scaled problem is built,
+    and so checked, before the first probe runs.
     """
-    omegas = [float(w) for w in omega_values]
-    if any(w <= 0.0 for w in omegas):
-        raise ValueError("all omega values must be positive")
-    reports = []
-    for omega in omegas:
-        scaled = problem_template.with_frequencies(
-            problem_template.frequencies * omega
-        )
-        reports.append(bound_probe(scaled, trials, rng_seed, opts=opts))
-    return reports
+    problems = [
+        problem_template.with_frequencies(problem_template.frequencies * float(w))
+        for w in omega_values
+    ]
+    return [bound_probe(problem, trials, rng_seed, opts=opts)
+            for problem in problems]
 
 
 def sweep_csv(reports, omega_values):

@@ -34,6 +34,10 @@ log = logging.getLogger(__name__)
 # A lock-step chunk of a multistart search holds so many trials that one
 # (B, n*k, n*k) array has at most this many float64 entries (512 KB).
 _BATCH_ENTRIES = 2 ** 16
+# Fingerprints agreeing to this relative tolerance are one class.
+FINGERPRINT_RTOL = 1e-6
+# Draws of a seed that may collide before ``sample_seed`` gives up.
+SEED_ATTEMPTS = 100
 
 
 class Termination(enum.Enum):
@@ -108,7 +112,7 @@ class EquilibriumFingerprint:
         object.__setattr__(self, "sorted_distances", d)
         object.__setattr__(self, "sorted_mass_weighted_norms", w)
 
-    def matches(self, other, rtol=1e-6):
+    def matches(self, other, rtol=FINGERPRINT_RTOL):
         for mine, theirs in (
             (self.sorted_distances, other.sorted_distances),
             (self.sorted_mass_weighted_norms, other.sorted_mass_weighted_norms),
@@ -176,11 +180,11 @@ def seed_radius(problem):
     return (omega_max ** 2 / total_mass) ** (1.0 / (2.0 * problem.a)) * problem.n
 
 
-def sample_seed(problem, rng, radius=None, max_attempts=100):
+def sample_seed(problem, rng):
     """Draw a collision-free configuration of i.i.d. points in a ball."""
-    r0 = seed_radius(problem) if radius is None else float(radius)
+    r0 = seed_radius(problem)
     n, k = problem.n, problem.k
-    for _ in range(max_attempts):
+    for _ in range(SEED_ATTEMPTS):
         direction = rng.normal(size=(n, k))
         direction /= np.sqrt(np.sum(direction ** 2, axis=1))[:, None]
         radii = r0 * rng.random(n) ** (1.0 / k)
@@ -375,8 +379,7 @@ def _trial_results(problem, trials, rng_seed, opts):
         yield from _solve_batch(np.array(seeds), problem, opts)
 
 
-def multistart_search(problem, trials, rng_seed, opts=None,
-                      fingerprint_rtol=1e-6):
+def multistart_search(problem, trials, rng_seed, opts=None):
     """Solve from ``trials`` random seeds and deduplicate the results.
 
     Returns the deduplicated converged results as SearchClass records in
@@ -402,7 +405,7 @@ def multistart_search(problem, trials, rng_seed, opts=None,
         )
         fp = fingerprint(canonical, problem)
         for idx, known in enumerate(classes):
-            if known.fingerprint.matches(fp, rtol=fingerprint_rtol):
+            if known.fingerprint.matches(fp):
                 classes[idx] = SearchClass(known.result, known.fingerprint,
                                            known.hits + 1)
                 break

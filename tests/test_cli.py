@@ -269,6 +269,58 @@ def test_zero_samples_rejected(command, two_body_doc):
     assert main([command, str(two_body_doc), "--samples", "0"]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+def test_infinite_horizon_rejected(command, two_body_doc, capsys):
+    # an infinite horizon used to integrate forever
+    with np.errstate(invalid="ignore"):
+        assert main([command, str(two_body_doc), "--t-end", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,message", [
+    ("verify", "OverflowError"),
+    ("integrate", "step size underflow"),
+], ids=["verify", "integrate"])
+def test_overflowing_forces_fail_with_one_error_line(command, message,
+                                                     tmp_path, capsys):
+    # r^(2a) overflows at a = -200: verify's cluster sums overflow a
+    # Python float, and the integrator's NaN first step must underflow
+    prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -200.0)
+    cfg = Configuration([[-0.01, 0.0], [0.0, 0.0], [0.01, 0.0]])
+    path = tmp_path / "overflow.json"
+    save_document(path, document_from(prob, cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, str(path), "--t-end", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("field,value,command", [
+    ("exponent", float("-inf"), ["search", "--trials", "3"]),
+    ("masses", [float("inf"), 1.0], ["search", "--trials", "3"]),
+    ("masses", [float("inf"), 1.0], ["verify"]),
+    ("frequencies", [float("inf")], ["search", "--trials", "3"]),
+], ids=["exponent-search", "masses-search", "masses-verify",
+        "frequencies-search"])
+def test_non_finite_document_values_rejected(field, value, command,
+                                              two_body_doc, tmp_path, capsys):
+    # JSON's Infinity parses; Problem must refuse it
+    raw = json.loads(two_body_doc.read_text())
+    raw[field] = value
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(raw))
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_infinite_omega_rejected(two_body_doc, capsys):
+    assert main(["probe", str(two_body_doc), "--trials", "3",
+                 "--omegas", "1,inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_out_path_in_missing_directory_is_io_error(two_body_doc, tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.json"
     assert main(["verify", str(two_body_doc), "--t-end", "0.5",

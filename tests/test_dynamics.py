@@ -160,6 +160,29 @@ class TestIntegrate:
             integrate(state, prob, 1.0, 1e-8, sample_times=[0.5, 0.5])
         with pytest.raises(ValueError):
             integrate(state, prob, 1.0, 1e-8, sample_times=[0.5, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            integrate(state, prob, 1.0, 1e-8, sample_times=[0.5, np.inf])
+
+    def test_infinite_horizon_rejected(self, two_body):
+        # an infinite horizon would loop forever
+        prob, cfg = two_body
+        state = rigid_rotation_state(cfg, prob)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(state, prob, np.inf, 1e-8)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            relative_equilibrium_deviation(cfg, prob, np.inf)
+
+    def test_non_finite_force_underflows(self):
+        # opposite overflowing forces on the middle body give a NaN
+        # right-hand side and a NaN first step; it must abort, not spin
+        prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -200.0)
+        state = PhaseState([[-0.01, 0.0], [0.0, 0.0], [0.01, 0.0]],
+                           np.zeros((3, 2)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularityError, match="underflow") as err:
+            integrate(state, prob, 1.0, 1e-10)
+        assert err.value.time == 0.0
 
     def test_requested_samples_returned(self, two_body):
         prob, cfg = two_body
@@ -260,3 +283,13 @@ def test_trajectory_csv_layout(two_body):
 def test_phase_state_collision_rejected():
     with pytest.raises(ValueError):
         PhaseState([[0.0, 0.0], [1e-14, 0.0]], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("positions,velocities", [
+    ([[0.0, 0.0], [np.inf, 0.0]], np.zeros((2, 2))),
+    ([[1.0, 0.0]], np.zeros((1, 2))),
+    ([[1.0, 0.0], [-1.0, 0.0]], np.zeros((3, 2))),
+], ids=["non_finite", "one_body", "shape_mismatch"])
+def test_phase_state_validated_as_configuration(positions, velocities):
+    with pytest.raises(ValueError):
+        PhaseState(positions, velocities)

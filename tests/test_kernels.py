@@ -44,3 +44,22 @@ def test_batch_kernels_match_one_configuration():
         assert np.array_equal(
             jacobians[b], _kernels.jacobian_dense(pts, masses, asq, -1.5))
         assert distances[b] == _kernels.min_pair_distance(pts)
+
+
+def test_residual_and_accel_share_one_force_law():
+    rng = np.random.default_rng(15)
+    masses = rng.uniform(0.5, 2.0, 5)
+    asq = np.array([4.0, 4.0])
+    stack = rng.normal(size=(3, 5, 2))
+    accels = _kernels.accel_batch(stack, masses, -1.25)
+    for b, pts in enumerate(stack):
+        pts = _kernels.as_input(pts)
+        acc = _kernels.accel(pts, masses, -1.25)
+        assert np.array_equal(accels[b], acc)
+        assert np.array_equal(
+            _kernels.residual_stack(pts, masses, asq, -1.25), pts * asq + acc)
+        # the force on body 0, summed pair by pair
+        expected = sum(masses[j] * (pts[j] - pts[0])
+                       * np.sum((pts[j] - pts[0]) ** 2) ** -1.25
+                       for j in range(1, 5))
+        assert np.allclose(acc[0], expected, rtol=1e-13, atol=0.0)

@@ -157,7 +157,7 @@ class TestPairwiseDistances:
 
 class TestDomainTypes:
     def test_exponent_domain(self):
-        for bad in (-0.3, -0.5, float("nan")):
+        for bad in (-0.3, -0.5, float("nan"), float("-inf")):
             with pytest.raises(ValueError):
                 Problem(2, [1.0, 1.0], [1.0], bad)
         prob = Problem(2, [1.0, 1.0], [1.0], -0.51)
@@ -175,6 +175,11 @@ class TestDomainTypes:
             Problem(1, [1.0, 1.0], [], -1.5)
         with pytest.raises(ValueError):
             Problem(2, [1.0], [1.0], -1.5)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                Problem(2, [bad, 1.0], [1.0], -1.5)
+            with pytest.raises(ValueError, match="finite"):
+                Problem(2, [1.0, 1.0], [bad], -1.5)
 
     def test_two_bodies_accepted(self):
         # n = 2 is allowed even though the dynamics are stated for n >= 3

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from releq import Problem, bound_probe, frequency_sweep
+from releq import Problem, SolveOptions, bound_probe, frequency_sweep
 from releq.probe import sweep_csv
 
 import oracles
@@ -43,18 +43,17 @@ class TestBoundProbe:
         r2 = bound_probe(two_body_problem, 15, 2)
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
-    def test_no_convergence_reports_zero_classes(self):
-        # a single unlucky trial in k=3 (extra gauge directions) fails;
-        # the report must degrade gracefully
-        prob = Problem(3, [1.0, 1.0], [1.0], -1.5)
-        for seed in range(40):
-            report = bound_probe(prob, 1, seed)
-            if report.classes_found == 0:
-                assert report.min_pairwise_distance is None
-                assert report.max_point_norm is None
-                assert report.dropped == 1
-                return
-        pytest.skip("every probed seed converged")
+    def test_no_convergence_reports_zero_classes(self, two_body_problem):
+        # with no iterations allowed no random seed converges; the report
+        # must degrade gracefully
+        report = bound_probe(two_body_problem, 3, 0,
+                             opts=SolveOptions(max_iterations=0))
+        assert report.classes_found == 0
+        assert report.min_pairwise_distance is None
+        assert report.max_point_norm is None
+        assert report.per_class == ()
+        assert report.converged == 0
+        assert report.dropped == 3
 
     def test_bounds_positive_and_finite(self, two_body_problem):
         report = bound_probe(two_body_problem, 10, 4)
@@ -88,6 +87,8 @@ class TestFrequencySweep:
     def test_nonpositive_omega_rejected(self, two_body_problem):
         with pytest.raises(ValueError):
             frequency_sweep(two_body_problem, [1.0, -2.0], 10, 1)
+        with pytest.raises(ValueError):
+            frequency_sweep(two_body_problem, [1.0, np.inf], 10, 1)
 
     def test_csv_layout(self, two_body_problem):
         omegas = [1.0, 2.0]
