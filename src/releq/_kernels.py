@@ -4,9 +4,16 @@ All kernels are vectorized numpy, take C-contiguous float64 arrays and
 are deterministic: summation order is the ascending body index. The
 ``*_batch`` kernels take a stack of configurations, shape (B, n, k), and
 give every member the bits the one-configuration form gives it alone;
-the one-configuration names wrap them, and no kernel calls them. The
-force law is written once: ``residual_stack_batch`` is Asq Q plus
-``accel_batch``.
+the one-configuration names wrap them, and no kernel calls them.
+
+Every pair quantity derives from one ``pair_geometry`` pass: Q_j - Q_i
+and r^2 with an inf diagonal, where r^(2a) and r^(2a+1) vanish. The
+``*_from`` kernels take that geometry, so the LM solver, which keeps
+each trial's, measures no pair twice. The force law is written once, in
+``forces_from``; ``residual_stack_batch`` is Asq Q plus ``accel_batch``.
+The Jacobian is assembled on (B, n, n) coordinate planes laid out
+[b, j, i], and its diagonal blocks sum over the strided j axis, which
+numpy adds in ascending body order.
 """
 
 import functools
@@ -14,19 +21,55 @@ import functools
 import numpy as np
 
 
-def _pair_differences(positions, diagonal):
-    """Q_j - Q_i and |Q_j - Q_i|^2 at [b, i, j], the latter's diagonal set."""
+def pair_geometry(positions):
+    """Q_j - Q_i at [b, i, j, :] and |Q_j - Q_i|^2 at [b, i, j], inf diagonal.
+
+    The squared distances are symmetric bit for bit: Q_i - Q_j is the
+    exact negation of Q_j - Q_i.
+    """
     count, n = positions.shape[:2]
     diff = positions[:, None, :, :] - positions[:, :, None, :]
     r2 = np.einsum("bijk,bijk->bij", diff, diff)
-    r2.reshape(count, n * n)[:, :: n + 1] = diagonal
+    r2.reshape(count, n * n)[:, :: n + 1] = np.inf
     return diff, r2
+
+
+def min_distance_from(r2):
+    """Smallest pairwise distance of each configuration; inf below 2 bodies."""
+    return np.sqrt(r2.min(axis=(1, 2), initial=np.inf))
+
+
+def forces_from(diff, r2a, masses):
+    """sum_{j!=i} m_j (Q_j - Q_i) r2a_ij with r2a = r^(2a), shape (B, n, k)."""
+    return np.einsum("bij,bijk->bik", masses * r2a, diff)
+
+
+def jacobian_from(diff, r2, r2a, masses, asq, a):
+    """Derivative of each stacked residual, shape (B, n*k, n*k).
+
+    Off-diagonal block (i, j) is m_j (r^(2a) I + 2a r^(2a-2) u u^T) with
+    u = Q_j - Q_i; the diagonal block is diag(asq) minus the sum of the
+    other blocks of its row, added over j in ascending order.
+    """
+    count, n, _, k = diff.shape
+    # u u^T and r are symmetric in (i, j) bit for bit, so the planes of
+    # blocks[c, d, b, j, i] need no transpose of the [b, i, j] geometry
+    planes = np.ascontiguousarray(diff.transpose(3, 0, 1, 2))
+    coef = 2.0 * a * r2 ** (a - 1.0)
+    blocks = coef * planes[:, None] * planes[None, :]
+    # r2a * 0 off the axis diagonal turns a -0.0 product into +0.0
+    blocks += np.eye(k)[:, :, None, None, None] * r2a
+    blocks *= masses[:, None]
+    diagonal = blocks.reshape(k, k, count, n * n)[..., :: n + 1]
+    diagonal[...] = 0.0
+    diagonal[...] = np.diag(asq)[:, :, None, None] - blocks.sum(axis=3)
+    return blocks.transpose(2, 4, 0, 3, 1).reshape(count, n * k, n * k)
 
 
 def accel_batch(positions, masses, a):
     """Accelerations sum_{j!=i} m_j (Q_j - Q_i) |Q_j - Q_i|^(2a), shape (B, n, k)."""
-    diff, r2 = _pair_differences(positions, np.inf)    # inf ** a == 0
-    return np.einsum("bij,bijk->bik", masses * r2 ** a, diff)
+    diff, r2 = pair_geometry(positions)
+    return forces_from(diff, r2 ** a, masses)
 
 
 def accel(positions, masses, a):
@@ -44,18 +87,8 @@ def residual_stack(positions, masses, asq, a):
 
 def jacobian_dense_batch(positions, masses, asq, a):
     """Derivative of each stacked residual, shape (B, n*k, n*k)."""
-    count, n, k = positions.shape
-    diff, r2 = _pair_differences(positions, 1.0)
-    idx = np.arange(n)
-    r2a = r2 ** a
-    coef = 2.0 * a * r2 ** (a - 1.0)
-    blocks = coef[..., None, None] * diff[..., :, None] * diff[..., None, :]
-    blocks += r2a[..., None, None] * np.eye(k)
-    blocks *= masses[:, None, None]
-    blocks[:, idx, idx] = 0.0
-    diag = np.diag(asq) - blocks.sum(axis=2)
-    blocks[:, idx, idx] = diag
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(count, n * k, n * k)
+    diff, r2 = pair_geometry(positions)
+    return jacobian_from(diff, r2, r2 ** a, masses, asq, a)
 
 
 def jacobian_dense(positions, masses, asq, a):
@@ -64,8 +97,10 @@ def jacobian_dense(positions, masses, asq, a):
 
 def pair_distances_batch(positions):
     """Pairwise distance matrices, zero diagonal, shape (B, n, n)."""
-    _, r2 = _pair_differences(positions, 0.0)
-    return np.sqrt(r2)
+    count, n = positions.shape[:2]
+    dist = np.sqrt(pair_geometry(positions)[1])
+    dist.reshape(count, n * n)[:, :: n + 1] = 0.0
+    return dist
 
 
 def pair_distances(positions):
@@ -74,8 +109,7 @@ def pair_distances(positions):
 
 def min_pair_distance_batch(positions):
     """Smallest pairwise distance of each configuration; inf below 2 bodies."""
-    _, r2 = _pair_differences(positions, np.inf)
-    return np.sqrt(r2.min(axis=(1, 2), initial=np.inf))
+    return min_distance_from(pair_geometry(positions)[1])
 
 
 def min_pair_distance(positions):

@@ -81,20 +81,22 @@ def residual_scale(config, problem):
     max(1, largest point norm, largest single term entering any F_i); the
     force terms span many orders of magnitude once a < -1/2.
     """
-    pos = _checked_points(config, problem)
-    return float(residual_scale_batch(pos[None], problem)[0])
+    pos = _checked_points(config, problem)[None]
+    _, r2 = _kernels.pair_geometry(pos)
+    return float(residual_scale_batch(pos, r2, problem)[0])
 
 
-def residual_scale_batch(points, problem):
-    """``residual_scale`` of each configuration in a (B, n, k) stack."""
-    idx = np.arange(problem.n)
+def residual_scale_batch(points, r2, problem):
+    """``residual_scale`` of each configuration in a (B, n, k) stack.
+
+    ``r2`` is the stack's squared pair distances with an inf diagonal, as
+    ``_kernels.pair_geometry`` gives them.
+    """
     norms = np.sqrt(np.sum(points ** 2, axis=-1))
-    dist = _kernels.pair_distances_batch(points)
-    dist[:, idx, idx] = 1.0     # no 0 ** (2a+1); the diagonal is masked below
-    # per-pair force magnitude m_j * r^(2a+1), larger mass of each pair
+    # per-pair force magnitude m_j * r^(2a+1), larger mass of each pair;
+    # the inf diagonal gives 0 there, as 2a + 1 < 0
     heavier = np.maximum.outer(problem.masses, problem.masses)
-    force_terms = heavier * dist ** (2.0 * problem.a + 1.0)
-    force_terms[:, idx, idx] = 0.0
+    force_terms = heavier * np.sqrt(r2) ** (2.0 * problem.a + 1.0)
     rot_terms = np.abs(points * problem.asq).sum(axis=-1)
     return np.maximum(1.0, np.max([norms.max(axis=-1),
                                    force_terms.max(axis=(1, 2)),

@@ -6,15 +6,18 @@ translational) gauge directions are left in the system and absorbed by
 the damping; configurations are canonicalized only after convergence.
 
 The one LM implementation, ``_solve_batch``, runs a stack of seeds in
-lock-step rounds: each round makes one Jacobian, one factorization, one
-collision guard and one residual call for all open trials, while
-damping, collision streak and iteration count stay per trial, so every
-trial takes bit for bit the steps it takes alone. ``solve_from_seed`` is
-a batch of one. Multistart search solves consecutive trials in chunks
-capped by a working set of 2**16 float64 entries (512 KB) per
-(B, n*k, n*k) array, which keeps peak memory near that of a lone solve
-at large n. Each trial draws its seed from a generator split off the
-root seed by trial index, so results never depend on chunking.
+lock-step rounds. Each round makes one Jacobian for the trials that
+have just started or moved, one factorization for all open trials, and
+one pair-geometry pass for all their trial point sets, from which the
+collision guard, the residual and, once a step is accepted, the next
+round's residual scale and Jacobian derive. Damping, collision streak
+and iteration count stay per trial, so every trial takes bit for bit
+the steps it takes alone. ``solve_from_seed`` is a batch of one.
+Multistart search solves consecutive trials in chunks capped by a
+working set of 2**16 float64 entries (512 KB) per (B, n*k, n*k) array,
+which keeps peak memory near that of a lone solve at large n. Each
+trial draws its seed from a generator split off the root seed by trial
+index, so results never depend on chunking.
 """
 
 from __future__ import annotations
@@ -245,13 +248,20 @@ def _solve_batch(seeds, problem, opts):
     decrease the trial's stacked residual norm, and steps whose minimum
     separation falls below the collision guard are rejected with
     increased damping instead of being evaluated.
+
+    Each trial point set is measured by one ``pair_geometry`` pass, from
+    which the guard, the residual and, once the step is accepted, the
+    residual scale and the Jacobian of the next round all derive.
     """
     _check_damping(opts)
     n, k = problem.n, problem.k
     masses, asq, a = problem.masses, problem.asq, problem.a
     points = np.array(seeds, dtype=float)
     count = len(points)
-    per_body = _kernels.residual_stack_batch(points, masses, asq, a)
+    # each trial's current pair geometry, kept for its next linearization
+    diff, r2 = _kernels.pair_geometry(points)
+    r2a = r2 ** a
+    per_body = points * asq + _kernels.forces_from(diff, r2a, masses)
     max_norm = _max_norms(per_body)
     cost = _costs(per_body)
     history = [[float(value)] for value in max_norm]
@@ -281,7 +291,7 @@ def _solve_batch(seeds, problem, opts):
     while True:
         idx = np.flatnonzero(active & fresh)
         if idx.size:
-            scale = residual_scale_batch(points[idx], problem)
+            scale = residual_scale_batch(points[idx], r2[idx], problem)
             converged = max_norm[idx] <= opts.tol_res * scale
             stop(idx[converged], Termination.CONVERGED)
             idx = idx[~converged]
@@ -289,7 +299,8 @@ def _solve_batch(seeds, problem, opts):
             iterations[idx[spent]] = opts.max_iterations
             stop(idx[spent], Termination.MAX_ITERATIONS)
             idx = idx[~spent]
-            jac = _kernels.jacobian_dense_batch(points[idx], masses, asq, a)
+            jac = _kernels.jacobian_from(diff[idx], r2[idx], r2a[idx],
+                                         masses, asq, a)
             jac_t = jac.transpose(0, 2, 1)
             normal = jac_t @ jac
             defect = per_body[idx].reshape(len(idx), n * k, 1)
@@ -318,23 +329,31 @@ def _solve_batch(seeds, problem, opts):
         # minimum separation is not below guard_rel times its size
         passed = np.isfinite(trial).all(axis=(1, 2))
         whole = np.flatnonzero(passed)
-        min_dist = _kernels.min_pair_distance_batch(trial[whole])
-        passed[whole] = ((min_dist > collision_threshold(trial[whole]))
-                         & ~(min_dist < opts.guard_rel * trial_scale[whole]))
+        trial_diff, trial_r2 = _kernels.pair_geometry(trial[whole])
+        min_dist = _kernels.min_distance_from(trial_r2)
+        clear = ((min_dist > collision_threshold(trial[whole]))
+                 & ~(min_dist < opts.guard_rel * trial_scale[whole]))
+        passed[whole] = clear
         guarded = idx[~passed]
         streak[guarded] += 1
         reject(guarded, Termination.COLLISION_GUARD,
                streak[guarded] >= opts.max_collision_rejects)
         idx, trial = idx[passed], trial[passed]
+        trial_diff, trial_r2 = trial_diff[clear], trial_r2[clear]
         streak[idx] = 0
 
-        trial_body = _kernels.residual_stack_batch(trial, masses, asq, a)
+        trial_r2a = trial_r2 ** a
+        trial_body = trial * asq + _kernels.forces_from(
+            trial_diff, trial_r2a, masses)
         trial_cost = _costs(trial_body)
         better = np.isfinite(trial_cost) & (trial_cost < cost[idx])
         reject(idx[~better], Termination.STALLED)
 
         idx = idx[better]
         points[idx] = trial[better]
+        diff[idx] = trial_diff[better]
+        r2[idx] = trial_r2[better]
+        r2a[idx] = trial_r2a[better]
         per_body[idx] = trial_body[better]
         cost[idx] = trial_cost[better]
         max_norm[idx] = _max_norms(trial_body[better])

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,9 +7,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import releq
 from releq import Configuration, Problem
 
 import oracles
+
+# Tests that spawn ``python -m releq.cli`` must run the package this
+# session imports, whether it is installed or found through pytest's
+# pythonpath setting.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(releq.__file__).parents[1]),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")
