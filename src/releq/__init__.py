@@ -12,6 +12,7 @@ from .criterion import (
     jacobian,
     lemma_gap_bound,
     lemma_identity_gap,
+    lemma_identity_gaps,
     residual,
     residual_scale,
     weighted_centroid_residual,
@@ -96,6 +97,7 @@ __all__ = [
     "jacobian",
     "lemma_gap_bound",
     "lemma_identity_gap",
+    "lemma_identity_gaps",
     "load_document",
     "multistart_search",
     "pairwise_distances",

@@ -1,19 +1,19 @@
 """Hot numeric kernels: all-pairs forces, criterion residual, Jacobian.
 
 All kernels are vectorized numpy, take C-contiguous float64 arrays and
-are deterministic: summation order is the ascending body index. The
-``*_batch`` kernels take a stack of configurations, shape (B, n, k), and
-give every member the bits the one-configuration form gives it alone;
-the one-configuration names wrap them, and no kernel calls them.
+are deterministic: summation order is the ascending body index.
 
-Every pair quantity derives from one ``pair_geometry`` pass: Q_j - Q_i
-and r^2 with an inf diagonal, where r^(2a) and r^(2a+1) vanish. The
-``*_from`` kernels take that geometry, so the LM solver, which keeps
-each trial's, measures no pair twice. The force law is written once, in
-``forces_from``; ``residual_stack_batch`` is Asq Q plus ``accel_batch``.
-The Jacobian is assembled on (B, n, n) coordinate planes laid out
-[b, j, i], and its diagonal blocks sum over the strided j axis, which
-numpy adds in ascending body order.
+Every pair quantity derives from one ``pair_geometry`` pass over a stack
+of configurations, shape (B, n, k): Q_j - Q_i and r^2 with an inf
+diagonal, where r^(2a) and r^(2a+1) vanish. The ``*_from`` kernels take
+that geometry, so the LM solver, which keeps each trial's, measures no
+pair twice. The force law is written once, in ``forces_from``. The
+one-configuration kernels (``accel``, ``residual_stack``,
+``jacobian_dense``, ``pair_distances``, ``min_pair_distance``) measure a
+stack of one and give each member of a stack the bits the ``*_from``
+kernels give it. The Jacobian is assembled on (B, n, n) coordinate
+planes laid out [b, j, i], and its diagonal blocks sum over the strided
+j axis, which numpy adds in ascending body order.
 """
 
 import functools
@@ -66,54 +66,34 @@ def jacobian_from(diff, r2, r2a, masses, asq, a):
     return blocks.transpose(2, 4, 0, 3, 1).reshape(count, n * k, n * k)
 
 
-def accel_batch(positions, masses, a):
-    """Accelerations sum_{j!=i} m_j (Q_j - Q_i) |Q_j - Q_i|^(2a), shape (B, n, k)."""
-    diff, r2 = pair_geometry(positions)
-    return forces_from(diff, r2 ** a, masses)
-
-
 def accel(positions, masses, a):
-    return accel_batch(positions[None], masses, a)[0]
-
-
-def residual_stack_batch(positions, masses, asq, a):
-    """Per-body balance defect asq*Q_i - sum_{j!=i} m_j (Q_i - Q_j) r^(2a)."""
-    return positions * asq + accel_batch(positions, masses, a)
+    """Accelerations sum_{j!=i} m_j (Q_j - Q_i) |Q_j - Q_i|^(2a), shape (n, k)."""
+    diff, r2 = pair_geometry(positions[None])
+    return forces_from(diff, r2 ** a, masses)[0]
 
 
 def residual_stack(positions, masses, asq, a):
-    return residual_stack_batch(positions[None], masses, asq, a)[0]
-
-
-def jacobian_dense_batch(positions, masses, asq, a):
-    """Derivative of each stacked residual, shape (B, n*k, n*k)."""
-    diff, r2 = pair_geometry(positions)
-    return jacobian_from(diff, r2, r2 ** a, masses, asq, a)
+    """Per-body balance defect asq*Q_i - sum_{j!=i} m_j (Q_i - Q_j) r^(2a)."""
+    diff, r2 = pair_geometry(positions[None])
+    return positions * asq + forces_from(diff, r2 ** a, masses)[0]
 
 
 def jacobian_dense(positions, masses, asq, a):
-    return jacobian_dense_batch(positions[None], masses, asq, a)[0]
-
-
-def pair_distances_batch(positions):
-    """Pairwise distance matrices, zero diagonal, shape (B, n, n)."""
-    count, n = positions.shape[:2]
-    dist = np.sqrt(pair_geometry(positions)[1])
-    dist.reshape(count, n * n)[:, :: n + 1] = 0.0
-    return dist
+    """Derivative of the stacked residual, shape (n*k, n*k)."""
+    diff, r2 = pair_geometry(positions[None])
+    return jacobian_from(diff, r2, r2 ** a, masses, asq, a)[0]
 
 
 def pair_distances(positions):
-    return pair_distances_batch(positions[None])[0]
-
-
-def min_pair_distance_batch(positions):
-    """Smallest pairwise distance of each configuration; inf below 2 bodies."""
-    return min_distance_from(pair_geometry(positions)[1])
+    """Pairwise distance matrix, zero diagonal, shape (n, n)."""
+    dist = np.sqrt(pair_geometry(positions[None])[1][0])
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def min_pair_distance(positions):
-    return float(min_pair_distance_batch(positions[None])[0])
+    """Smallest pairwise distance; inf below 2 bodies."""
+    return float(min_distance_from(pair_geometry(positions[None])[1])[0])
 
 
 @functools.lru_cache(maxsize=16)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .criterion import (
-    lemma_identity_gap,
+    lemma_identity_gaps,
     residual,
     weighted_centroid_residual,
 )
@@ -101,8 +101,7 @@ def _cmd_verify(args):
     config = _need_positions(doc)
 
     report = residual(config, problem)
-    gaps = [lemma_identity_gap(config, problem, l).to_dict()
-            for l in range(2, problem.n + 1)]
+    gaps = [diag.to_dict() for diag in lemma_identity_gaps(config, problem)]
     centroid = weighted_centroid_residual(config, problem)
     t_end = _horizon(problem, args.t_end)
     deviation = relative_equilibrium_deviation(
@@ -402,7 +401,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except ArithmeticError as exc:
-        # e.g. a force term that overflows a Python float
+        # Python-float arithmetic raises where numpy gives inf or NaN
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except OSError as exc:

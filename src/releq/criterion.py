@@ -8,7 +8,9 @@ per-body defect
 vanishes (Asq is the squared diagonal rate matrix). This module evaluates
 the defect, its exact dense derivative, the cluster-sum identity that the
 lower-bound argument rests on, and the weighted-centroid consequence of
-summing the defect over all bodies.
+summing the defect over all bodies. Every cluster of the identity comes
+from one pair-geometry pass and suffix sums over the pair force terms,
+in O(n^2 k).
 """
 
 from __future__ import annotations
@@ -114,6 +116,25 @@ def jacobian(config, problem):
     return _kernels.jacobian_dense(pos, problem.masses, problem.asq, problem.a)
 
 
+def _cluster_sums(config, problem):
+    """Checked points, pair force terms P and their suffix sums S (0-based).
+
+    P[i, j] = m_j (Q_i - Q_j) r_ij^(2a), zero diagonal, weighted by the
+    ``r2 ** a`` that ``forces_from`` contracts. S[i, l] = sum_{j >= l}
+    P[i, j] has shape (n, n + 1, k), with the empty sums S[:, n] = 0.
+    """
+    pos = _checked_points(config, problem)
+    n = problem.n
+    diff, r2 = _kernels.pair_geometry(pos[None])
+    # diff[i, j] is Q_j - Q_i, so its transpose holds Q_i - Q_j; the inf
+    # diagonal gives r^(2a) = 0 there
+    pair = (problem.masses * r2[0] ** problem.a)[..., None] \
+        * diff[0].swapaxes(0, 1)
+    suffix = np.zeros((n, n + 1, problem.k))
+    suffix[:, :n] = np.cumsum(pair[:, ::-1], axis=1)[:, ::-1]
+    return pos, pair, suffix
+
+
 def cluster_sum(config, problem, body, cluster):
     """Force contribution on ``body`` from bodies outside the first ``cluster``.
 
@@ -121,7 +142,7 @@ def cluster_sum(config, problem, body, cluster):
     ``cluster`` of them; the empty sum (cluster = n) is the zero vector.
     The self term j == body is always excluded.
     """
-    pos = _checked_points(config, problem)
+    _, _, suffix = _cluster_sums(config, problem)
     n = problem.n
     body = int(body)
     cluster = int(cluster)
@@ -129,47 +150,44 @@ def cluster_sum(config, problem, body, cluster):
         raise IndexError(f"body index must be in 1..{n}, got {body}")
     if not 2 <= cluster <= n:
         raise IndexError(f"cluster size must be in 2..{n}, got {cluster}")
-    out = np.zeros(problem.k)
-    qi = pos[body - 1]
-    for j in range(cluster, n):
-        if j == body - 1:
-            continue
-        u = qi - pos[j]
-        out += problem.masses[j] * u * float(u @ u) ** problem.a
-    return out
+    return suffix[body - 1, cluster].copy()
+
+
+def lemma_identity_gaps(config, problem):
+    """Both sides of the cluster identity for every cluster l = 2..n.
+
+    The identity is an exact consequence of the balance equations, so
+    each gap vanishes at equilibria; away from them it equals the norm of
+    sum_{i=2}^{l} m_i (F_1 - F_i). With bodies numbered 1..n and sums
+    over i, j <= l, prefix sums over the body index give every l at once:
+
+        lhs(l) = Asq sum_i m_i (Q_1 - Q_i)
+        rhs(l) = (sum_i m_i) sum_j P[1, j] + sum_i m_i (S[1, l] - S[i, l])
+    """
+    pos, pair, suffix = _cluster_sums(config, problem)
+    n, m = problem.n, problem.masses
+    clusters = np.arange(2, n + 1)
+    # row l - 2 of each prefix sum runs over bodies 0..l-1 (0-based),
+    # whose body-0 term is zero
+    lhs = problem.asq * np.cumsum(m[:, None] * (pos[0] - pos), axis=0)[1:]
+    inner = np.cumsum(m)[1:, None] * np.cumsum(pair[0], axis=0)[1:]
+    spread = m[:, None, None] * (suffix[0, clusters] - suffix[:, clusters])
+    inside = np.arange(n)[:, None] < clusters
+    rhs = inner + np.where(inside[..., None], spread, 0.0).sum(axis=0)
+    return tuple(
+        ClusterDiagnostics(int(l), lhs[row], rhs[row],
+                           float(np.linalg.norm(lhs[row] - rhs[row])))
+        for row, l in enumerate(clusters))
 
 
 def lemma_identity_gap(config, problem, cluster):
-    """Evaluate both sides of the cluster identity for the first ``cluster`` bodies.
-
-    The identity is an exact consequence of the balance equations, so the
-    gap vanishes at equilibria; away from them it equals the norm of
-    sum_{i=2}^{l} m_i (F_1 - F_i).
-    """
-    pos = _checked_points(config, problem)
+    """``lemma_identity_gaps`` entry of the first ``cluster`` bodies."""
+    gaps = lemma_identity_gaps(config, problem)
     n = problem.n
     cluster = int(cluster)
     if not 2 <= cluster <= n:
         raise IndexError(f"cluster size must be in 2..{n}, got {cluster}")
-    m = problem.masses
-    asq = problem.asq
-    a = problem.a
-    q1 = pos[0]
-
-    lhs = asq * sum(m[i] * (q1 - pos[i]) for i in range(1, cluster))
-
-    inner = np.zeros(problem.k)
-    for j in range(1, cluster):
-        u = q1 - pos[j]
-        inner += m[j] * u * float(u @ u) ** a
-    r_1l = cluster_sum(config, problem, 1, cluster)
-    tail = np.zeros(problem.k)
-    for i in range(1, cluster):
-        r_il = cluster_sum(config, problem, i + 1, cluster)
-        tail += m[i] * (r_1l - r_il)
-    rhs = float(m[:cluster].sum()) * inner + tail
-
-    return ClusterDiagnostics(cluster, lhs, rhs, float(np.linalg.norm(lhs - rhs)))
+    return gaps[cluster - 2]
 
 
 def weighted_centroid_residual(config, problem):

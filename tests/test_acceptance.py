@@ -23,6 +23,7 @@ from releq import (
     frequency_sweep,
     jacobian,
     lemma_identity_gap,
+    lemma_identity_gaps,
     relative_equilibrium_deviation,
     residual,
     residual_scale,
@@ -142,6 +143,13 @@ def test_criterion_3_lemma_identity():
             assert lemma_identity_gap(cfg, prob, l).gap < 1e-10 * scale
         checked += 1
     assert checked >= 25
+
+    # every cluster of the n = 96 equal-mass ring
+    prob, cfg = ngon_case(96, -1.5)
+    scale = residual_scale(cfg, prob)
+    gaps = lemma_identity_gaps(cfg, prob)
+    assert len(gaps) == 95
+    assert all(diag.gap < 1e-10 * scale for diag in gaps)
 
     # 20 multistart equilibria at n = 4
     prob4 = Problem(2, [1.0] * 4, [1.0], -1.5)

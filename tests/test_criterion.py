@@ -8,6 +8,7 @@ from releq import (
     jacobian,
     lemma_gap_bound,
     lemma_identity_gap,
+    lemma_identity_gaps,
     residual,
     residual_scale,
     rotation_generator,
@@ -17,6 +18,33 @@ from releq import (
 
 import oracles
 from conftest import random_config
+
+
+def loop_cluster_sum(pts, prob, body, cluster):
+    # the per-pair Python-float loop the cluster sums replaced; body is
+    # 0-based, cluster counts the first bodies
+    out = np.zeros(prob.k)
+    for j in range(cluster, prob.n):
+        if j != body:
+            u = pts[body] - pts[j]
+            out += prob.masses[j] * u * float(u @ u) ** prob.a
+    return out
+
+
+def loop_identity_gap(pts, prob, cluster):
+    # the per-pair Python-float form of the cluster identity's gap
+    m = prob.masses
+    lhs = prob.asq * sum(m[i] * (pts[0] - pts[i]) for i in range(1, cluster))
+    inner = np.zeros(prob.k)
+    for j in range(1, cluster):
+        u = pts[0] - pts[j]
+        inner += m[j] * u * float(u @ u) ** prob.a
+    r_1l = loop_cluster_sum(pts, prob, 0, cluster)
+    tail = np.zeros(prob.k)
+    for i in range(1, cluster):
+        tail += m[i] * (r_1l - loop_cluster_sum(pts, prob, i, cluster))
+    rhs = float(m[:cluster].sum()) * inner + tail
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def fd_jacobian(cfg, prob, h):
@@ -217,6 +245,43 @@ class TestLemmaIdentity:
         bound = 10.0 * lemma_gap_bound(prob) * eps
         for l in (2, 3):
             assert lemma_identity_gap(cfg, prob, l).gap <= bound
+
+    def test_matches_per_pair_loop(self):
+        # suffix sums over the pair terms against the per-pair loop, in
+        # odd and even k, random masses and exponents
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            n = int(rng.integers(2, 31))
+            k = int(rng.integers(2, 6))
+            prob = Problem(k, rng.uniform(0.1, 3.0, n),
+                           rng.uniform(0.3, 2.0, k // 2),
+                           rng.uniform(-3.0, -0.6))
+            cfg = Configuration(rng.normal(size=(n, k)))
+            pts = cfg.points
+            scale = residual_scale(cfg, prob)
+            gaps = lemma_identity_gaps(cfg, prob)
+            assert [d.l for d in gaps] == list(range(2, n + 1))
+            for l in range(2, n + 1):
+                one = lemma_identity_gap(cfg, prob, l)
+                assert one.gap == gaps[l - 2].gap
+                assert one.lhs.tobytes() == gaps[l - 2].lhs.tobytes()
+                assert one.rhs.tobytes() == gaps[l - 2].rhs.tobytes()
+                assert abs(one.gap - loop_identity_gap(pts, prob, l)) \
+                    <= 1e-12 * scale
+                for body in range(1, n + 1):
+                    assert np.allclose(
+                        cluster_sum(cfg, prob, body, l),
+                        loop_cluster_sum(pts, prob, body - 1, l),
+                        rtol=1e-12, atol=1e-12 * scale)
+
+    def test_overflowing_forces_give_non_finite_gap(self):
+        # r^(2a) overflows a float at a = -200 with bodies 0.01 apart;
+        # the identity reports that instead of raising OverflowError
+        prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -200.0)
+        cfg = Configuration([[-0.01, 0.0], [0.0, 0.0], [0.01, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l in (2, 3):
+                assert not np.isfinite(lemma_identity_gap(cfg, prob, l).gap)
 
     def test_gap_field_consistency(self, two_body):
         prob, cfg = two_body

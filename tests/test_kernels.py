@@ -88,13 +88,16 @@ def test_pair_indices_cached_and_read_only():
 
 
 def test_batch_kernels_match_one_configuration():
+    # the stacked pair_geometry + *_from path the LM runs
     rng = np.random.default_rng(14)
     masses = rng.uniform(0.5, 2.0, 6)
     asq = np.array([1.0, 1.0, 0.0])
     stack = rng.normal(size=(4, 6, 3))
-    residuals = _kernels.residual_stack_batch(stack, masses, asq, -1.5)
-    jacobians = _kernels.jacobian_dense_batch(stack, masses, asq, -1.5)
-    distances = _kernels.min_pair_distance_batch(stack)
+    diff, r2 = _kernels.pair_geometry(stack)
+    r2a = r2 ** -1.5
+    residuals = stack * asq + _kernels.forces_from(diff, r2a, masses)
+    jacobians = _kernels.jacobian_from(diff, r2, r2a, masses, asq, -1.5)
+    distances = _kernels.min_distance_from(r2)
     for b, pts in enumerate(stack):
         pts = _kernels.as_input(pts)
         assert np.array_equal(
@@ -109,7 +112,8 @@ def test_residual_and_accel_share_one_force_law():
     masses = rng.uniform(0.5, 2.0, 5)
     asq = np.array([4.0, 4.0])
     stack = rng.normal(size=(3, 5, 2))
-    accels = _kernels.accel_batch(stack, masses, -1.25)
+    diff, r2 = _kernels.pair_geometry(stack)
+    accels = _kernels.forces_from(diff, r2 ** -1.25, masses)
     for b, pts in enumerate(stack):
         pts = _kernels.as_input(pts)
         acc = _kernels.accel(pts, masses, -1.25)
@@ -129,7 +133,8 @@ def test_jacobian_matches_block_reference():
     for problem, stack in _random_stacks(16, 500):
         args = (problem.masses, problem.asq, problem.a)
         expected = _block_jacobian_reference(stack, *args)
-        got = _kernels.jacobian_dense_batch(stack, *args)
+        diff, r2 = _kernels.pair_geometry(stack)
+        got = _kernels.jacobian_from(diff, r2, r2 ** problem.a, *args)
         assert got.tobytes() == expected.tobytes()
         for b, pts in enumerate(stack):
             one = _kernels.jacobian_dense(_kernels.as_input(pts), *args)
