@@ -390,7 +390,10 @@ def main(argv=None):
         # argparse exits 2 on flag errors already; normalize other codes
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        # non-finite intermediates are reported through values, exit codes
+        # and the one error line, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

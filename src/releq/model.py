@@ -26,13 +26,13 @@ def _frozen_array(values, dtype=float):
     return arr
 
 
-def collision_threshold(points):
-    """Minimum admissible pairwise separation for a set of points.
+def collision_threshold(size):
+    """Minimum admissible pairwise separation at a configuration size.
 
-    Takes one (n, k) configuration or a (B, n, k) stack of them.
+    ``size`` is the largest point norm of a configuration, or an array of
+    them for a stack.
     """
-    norms = np.sqrt(np.sum(np.asarray(points, dtype=float) ** 2, axis=-1))
-    return COLLISION_RTOL * (1.0 + norms.max(axis=-1, initial=0.0))
+    return COLLISION_RTOL * (1.0 + size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +124,12 @@ class Configuration:
             raise ValueError("points must be an (n, k) array with n >= 2")
         if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
+        object.__setattr__(self, "points", points)
         min_dist = _kernels.min_pair_distance(_kernels.as_input(points))
-        if not min_dist > collision_threshold(points):
+        if not min_dist > collision_threshold(self.max_norm):
             raise ValueError(
                 f"colliding configuration: min pairwise distance {min_dist:.3e}"
             )
-        object.__setattr__(self, "points", points)
         object.__setattr__(self, "min_distance", min_dist)
 
     @property

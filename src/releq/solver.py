@@ -1,9 +1,15 @@
 """Damped least-squares search for rigidly rotating configurations.
 
 Zeros of the balance defect are found by Levenberg-Marquardt iteration
-with the exact dense Jacobian. Rotational (and, for odd dimension,
-translational) gauge directions are left in the system and absorbed by
-the damping; configurations are canonicalized only after convergence.
+with the exact dense Jacobian. Rotational gauge directions are left in
+the system and absorbed by the damping; configurations are canonicalized
+only after convergence.
+
+For odd k the fixed axis has rate 0, and its balance row at the body
+with the largest coordinate there, sum_j m_j (z_j - z_i) r_ij^(2a) = 0,
+is a sum of terms <= 0: every equilibrium has all bodies at one z. So
+odd-k problems are solved as the (k-1)-dimensional problem with the same
+masses, rates and exponent, and the results are lifted to z = 0.
 
 The one LM implementation, ``_solve_batch``, runs a stack of seeds in
 lock-step rounds. Each round makes one Jacobian for the trials that
@@ -29,8 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .criterion import residual_scale_batch
-from .model import Configuration, check_problem_config, collision_threshold
+from .criterion import residual, residual_scale_batch
+from .model import (
+    Configuration,
+    Problem,
+    check_problem_config,
+    collision_threshold,
+)
 
 log = logging.getLogger(__name__)
 
@@ -210,6 +221,26 @@ def _check_damping(opts):
         raise ValueError(f"damping_max must be finite, got {opts.damping_max}")
 
 
+def _even_problem(problem):
+    """The even-dimensional problem whose lifted equilibria are problem's."""
+    if problem.k % 2 == 0:
+        return problem
+    return Problem(problem.k - 1, problem.masses, problem.frequencies,
+                   problem.exponent)
+
+
+def _lifted(result, k):
+    """``result`` in dimension k, with zero coordinates appended."""
+    n, k_even = result.config.points.shape
+    if k_even == k:
+        return result
+    points = np.zeros((n, k))
+    points[:, :k_even] = result.config.points
+    return SolveResult(Configuration(points), result.residual_max,
+                       result.iterations, result.termination,
+                       result.residual_history)
+
+
 def _damped_steps(lhs, rhs):
     """Solve each damped system; a singular one gives a row of NaN."""
     try:
@@ -253,7 +284,6 @@ def _solve_batch(seeds, problem, opts):
     which the guard, the residual and, once the step is accepted, the
     residual scale and the Jacobian of the next round all derive.
     """
-    _check_damping(opts)
     n, k = problem.n, problem.k
     masses, asq, a = problem.masses, problem.asq, problem.a
     points = np.array(seeds, dtype=float)
@@ -322,17 +352,16 @@ def _solve_batch(seeds, problem, opts):
         idx = idx[finite]
 
         trial = points[idx] + steps[finite].reshape(-1, n, k)
-        trial_scale = np.maximum(
-            1.0, np.sqrt(np.sum(trial ** 2, axis=-1)).max(axis=-1))
         # a trial passes if it would make a Configuration (finite, above
         # the construction threshold, which lies under the guard) and its
         # minimum separation is not below guard_rel times its size
         passed = np.isfinite(trial).all(axis=(1, 2))
         whole = np.flatnonzero(passed)
+        size = _max_norms(trial[whole])
         trial_diff, trial_r2 = _kernels.pair_geometry(trial[whole])
         min_dist = _kernels.min_distance_from(trial_r2)
-        clear = ((min_dist > collision_threshold(trial[whole]))
-                 & ~(min_dist < opts.guard_rel * trial_scale[whole]))
+        clear = ((min_dist > collision_threshold(size))
+                 & ~(min_dist < opts.guard_rel * np.maximum(1.0, size)))
         passed[whole] = clear
         guarded = idx[~passed]
         streak[guarded] += 1
@@ -368,10 +397,23 @@ def solve_from_seed(seed, problem, opts=None):
     """Levenberg-Marquardt iteration on the stacked balance defect.
 
     The solve is a batch of one (see ``_solve_batch``), so it takes the
-    same steps as the same seed inside a multistart search.
+    same steps as the same seed inside a multistart search. For odd k the
+    seed's trailing coordinate is dropped and the result lifted to z = 0.
+    A seed whose bodies collide once it is dropped (bodies stacked along
+    the fixed axis) ends at the collision guard after 0 iterations and is
+    reported as given.
     """
     check_problem_config(problem, seed)
-    return _solve_batch(seed.points[None], problem, opts or SolveOptions())[0]
+    opts = opts or SolveOptions()
+    _check_damping(opts)
+    even = _even_problem(problem)
+    try:
+        start = seed if even is problem else Configuration(seed.points[:, :-1])
+    except ValueError:
+        max_norm = residual(seed, problem).max_norm
+        return SolveResult(seed, max_norm, 0, Termination.COLLISION_GUARD,
+                           (max_norm,))
+    return _lifted(_solve_batch(start.points[None], even, opts)[0], problem.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,24 +447,28 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     order of first discovery. Each trial draws its generator from
     (rng_seed, trial index) and is solved as it would be alone, so the
     output is a deterministic function of (problem, trials, rng_seed).
+    For odd k the trials are those of the (k-1)-dimensional search, and
+    its classes are returned lifted to z = 0.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     opts = opts or SolveOptions()
+    _check_damping(opts)
+    even = _even_problem(problem)
 
     classes = []
     dropped = 0
-    for result in _trial_results(problem, trials, rng_seed, opts):
+    for result in _trial_results(even, trials, rng_seed, opts):
         if not result.converged:
             dropped += 1
             continue
-        canonical = canonicalize(result.config, problem)
+        canonical = canonicalize(result.config, even)
         canonical_result = SolveResult(
             canonical, result.residual_max, result.iterations,
             result.termination, result.residual_history,
         )
-        fp = fingerprint(canonical, problem)
+        fp = fingerprint(canonical, even)
         for idx, known in enumerate(classes):
             if known.fingerprint.matches(fp):
                 classes[idx] = SearchClass(known.result, known.fingerprint,
@@ -433,7 +479,9 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     if dropped:
         log.debug("multistart: %d of %d trials dropped (unconverged)",
                   dropped, trials)
-    return classes
+    return [SearchClass(_lifted(cls.result, problem.k), cls.fingerprint,
+                        cls.hits)
+            for cls in classes]
 
 
 def exponent_schedule(a_start, a_target, steps):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +298,22 @@ def test_overflowing_forces_fail_with_one_error_line(command, message,
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+def test_overflowing_forces_print_no_warnings(command, tmp_path):
+    # in a fresh process nothing filters numpy's RuntimeWarnings, which
+    # used to precede the error line (six for verify, one for integrate)
+    prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -200.0)
+    cfg = Configuration([[-0.01, 0.0], [0.0, 0.0], [0.01, 0.0]])
+    path = tmp_path / "overflow.json"
+    save_document(path, document_from(prob, cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "releq.cli", command, str(path),
+         "--t-end", "1.0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: step size underflow at t=0"]
 
 
 @pytest.mark.parametrize("field,value,command", [

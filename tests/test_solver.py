@@ -15,6 +15,7 @@ from releq import (
     lemma_identity_gap,
     multistart_search,
     relative_equilibrium_deviation,
+    residual,
     residual_scale,
     rotation_matrix,
     sample_seed,
@@ -164,12 +165,17 @@ class TestMultistart:
     def test_trials_match_lone_solves(self, monkeypatch, n, k, a, trials,
                                       opts, termination):
         # every trial of a lock-step chunk ends exactly where its seed
-        # solved alone ends, across chunk boundaries (chunks of 4 here)
+        # solved alone ends, across chunk boundaries (chunks of 4 here);
+        # odd k is solved in the even subspace, so its trials draw even
+        # seeds, and lone solves get them lifted to z = 0
         prob = Problem(k, np.ones(n), np.ones(k // 2), a)
-        seeds = [sample_seed(prob, np.random.default_rng([17, t]))
+        even_k = k - k % 2
+        even = Problem(even_k, prob.masses, prob.frequencies, a)
+        seeds = [sample_seed(even, np.random.default_rng([17, t]))
                  for t in range(trials)]
-        lone = [solve_from_seed(seed, prob, opts) for seed in seeds]
-        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * (n * k) ** 2)
+        lone = [solve_from_seed(lifted(seed.points, k), prob, opts)
+                for seed in seeds]
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * (n * even_k) ** 2)
         batched, chunks = [], []
         solve_batch = solver._solve_batch
 
@@ -184,7 +190,9 @@ class TestMultistart:
         assert chunks == [4] * (trials // 4) + [trials % 4]
         assert termination in {result.termination for result in batched}
         for mine, alone in zip(batched, lone, strict=True):
-            assert np.array_equal(mine.config.points, alone.config.points)
+            assert np.array_equal(mine.config.points,
+                                  alone.config.points[:, :even_k])
+            assert not alone.config.points[:, even_k:].any()
             assert mine.residual_max == alone.residual_max
             assert mine.iterations == alone.iterations
             assert mine.termination is alone.termination
@@ -223,6 +231,88 @@ class TestMultistart:
         prob = Problem(2, [1.0, 3.0], [2.0], -1.5)
         expected = (4.0 / 4.0) ** (1.0 / -3.0) * 2
         assert seed_radius(prob) == pytest.approx(expected)
+
+
+def lifted(points, k, z=0.0):
+    """Points padded to dimension k with the constant coordinate z."""
+    points = np.asarray(points, dtype=float)
+    out = np.full((points.shape[0], k), z)
+    out[:, :points.shape[1]] = points
+    return Configuration(out)
+
+
+def even_twin(prob):
+    return Problem(prob.k - 1, prob.masses, prob.frequencies, prob.a)
+
+
+class TestOddDimension:
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_search_is_lifted_even_search(self, k):
+        rng = np.random.default_rng(50 + k)
+        n = 5
+        prob = Problem(k, rng.uniform(0.5, 2.0, n),
+                       rng.uniform(0.5, 2.0, k // 2), -1.5)
+        odd = multistart_search(prob, 24, 11)
+        even = multistart_search(even_twin(prob), 24, 11)
+        assert odd and len(odd) == len(even)
+        for mine, twin in zip(odd, even):
+            assert np.array_equal(mine.result.config.points,
+                                  lifted(twin.result.config.points, k).points)
+            assert mine.result.residual_max == twin.result.residual_max
+            assert mine.result.iterations == twin.result.iterations
+            assert mine.result.residual_history == \
+                twin.result.residual_history
+            assert mine.hits == twin.hits
+            assert np.array_equal(mine.fingerprint.sorted_distances,
+                                  twin.fingerprint.sorted_distances)
+            assert np.array_equal(
+                mine.fingerprint.sorted_mass_weighted_norms,
+                twin.fingerprint.sorted_mass_weighted_norms)
+
+    @pytest.mark.parametrize("k, n", [(3, 3), (3, 5), (3, 6), (5, 6)])
+    def test_cold_solves_converge_as_in_even_twin(self, k, n):
+        # 20 cold solves per row from seeds drawn in k dimensions, equal
+        # masses; the twin draws its seeds in k - 1
+        prob = Problem(k, np.ones(n), np.ones(k // 2), -1.5)
+        twin = even_twin(prob)
+        odd = [solve_from_seed(sample_seed(prob, np.random.default_rng(s)),
+                               prob) for s in range(20)]
+        even = [solve_from_seed(sample_seed(twin, np.random.default_rng(s)),
+                                twin) for s in range(20)]
+        assert sum(r.converged for r in odd) == sum(r.converged for r in even)
+        for result in odd:
+            if result.converged:
+                assert residual(result.config, prob).max_norm <= \
+                    1e-12 * residual_scale(result.config, prob)
+                assert np.all(result.config.points[:, -1] == 0.0)
+
+    def test_continuation_matches_even_twin(self, trigon):
+        twin, cfg = trigon
+        prob = Problem(3, twin.masses, twin.frequencies, twin.a)
+        odd_start = solve_from_seed(lifted(cfg.points, 3, z=0.7), prob)
+        even_start = solve_from_seed(cfg, twin)
+        odd = continuation_in_exponent(odd_start, prob, -2.5, 6)
+        even = continuation_in_exponent(even_start, twin, -2.5, 6)
+        assert len(odd) == len(even) == 6
+        for mine, theirs in zip([odd_start] + odd, [even_start] + even):
+            assert mine.converged
+            assert np.array_equal(mine.config.points,
+                                  lifted(theirs.config.points, 3).points)
+            assert mine.residual_max == theirs.residual_max
+            assert mine.iterations == theirs.iterations
+
+    def test_seed_colliding_in_even_subspace_hits_guard(self):
+        # bodies stacked along the fixed axis are apart in R^3 but share
+        # one point of the plane the solve runs in
+        prob = Problem(3, [1.0, 1.0, 1.0], [1.0], -1.5)
+        seed = Configuration([[0.5, 0.0, 1.0], [0.5, 0.0, -1.0],
+                              [-0.5, 0.0, 0.0]])
+        result = solve_from_seed(seed, prob)
+        assert result.termination is Termination.COLLISION_GUARD
+        assert result.iterations == 0
+        assert np.array_equal(result.config.points, seed.points)
+        assert result.residual_max == residual(seed, prob).max_norm
+        assert result.residual_history == (result.residual_max,)
 
 
 class TestContinuation:
