@@ -10,6 +10,7 @@ verification/runtime failure, 2 bad input or flags, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -382,10 +383,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on flag errors already; normalize other codes
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0

@@ -11,24 +11,32 @@ is a sum of terms <= 0: every equilibrium has all bodies at one z. So
 odd-k problems are solved as the (k-1)-dimensional problem with the same
 masses, rates and exponent, and the results are lifted to z = 0.
 
-The one LM implementation, ``_solve_batch``, runs a stack of seeds in
-lock-step rounds. Each round makes one Jacobian for the trials that
-have just started or moved, one factorization for all open trials, and
-one pair-geometry pass for all their trial point sets, from which the
-collision guard, the residual and, once a step is accepted, the next
-round's residual scale and Jacobian derive. Damping, collision streak
-and iteration count stay per trial, so every trial takes bit for bit
-the steps it takes alone. ``solve_from_seed`` is a batch of one.
-Multistart search solves consecutive trials in chunks capped by a
-working set of 2**16 float64 entries (512 KB) per (B, n*k, n*k) array,
+The one LM implementation, ``_solve_batch``, runs seeds in lock-step
+rounds over a fixed number of slots. Each round first gives every slot
+that a stopped trial freed the next seed, then makes one Jacobian for
+the trials that have just started or moved, one factorization for all
+open trials, and one pair-geometry pass for all their trial point sets,
+from which the collision guard, the residual and, once a step is
+accepted, the next round's residual scale and Jacobian derive. Damping,
+collision streak and iteration count stay per trial, so every trial
+takes bit for bit the steps it takes alone. ``solve_from_seed`` is a
+batch of one seed in one slot. Multistart search takes as many slots as
+keep one (slots, n*k, n*k) array within 2**16 float64 entries (512 KB),
 which keeps peak memory near that of a lone solve at large n. Each
 trial draws its seed from a generator split off the root seed by trial
-index, so results never depend on chunking.
+index, so results never depend on which trials share its rounds.
+
+A trial stalls when its damped steps keep failing until the damping
+passes ``damping_max``, or, by the gradient test of MINPACK's ``lmder``,
+when it reaches a stationary point of ||F||^2 that is no zero:
+||J^T F|| <= GRADIENT_RTOL * ||J||_F * ||F||, tested each time the trial
+is linearized, after the convergence and iteration tests.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -45,9 +53,15 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-# A lock-step chunk of a multistart search holds so many trials that one
-# (B, n*k, n*k) array has at most this many float64 entries (512 KB).
+# A multistart search runs so many trials at once that one
+# (slots, n*k, n*k) array has at most this many float64 entries (512 KB).
 _BATCH_ENTRIES = 2 ** 16
+# A trial whose gradient satisfies ||J^T F|| <= GRADIENT_RTOL*||J||_F*||F||
+# sits at a stationary point of ||F||^2 that is no zero and has stalled.
+# Measured on equal- and random-mass searches (k = 2 and 4, a from -0.6
+# to -3): converged trials stay above 1.5e-5 along their path, and
+# stalled trials end at or below 2.2e-8.
+GRADIENT_RTOL = 1e-7
 # Fingerprints agreeing to this relative tolerance are one class.
 FINGERPRINT_RTOL = 1e-6
 # Draws of a seed that may collide before ``sample_seed`` gives up.
@@ -209,8 +223,9 @@ def sample_seed(problem, rng):
     raise RuntimeError("failed to draw a collision-free seed")
 
 
-def _check_damping(opts):
-    """Reject damping settings under which rejected steps repeat forever."""
+def _check_options(opts):
+    """Reject damping settings under which rejected steps repeat forever,
+    and tolerances that no trial (nan, <= 0) or every trial (inf) meets."""
     if not opts.damping_init > 0.0:
         raise ValueError(f"damping_init must be > 0, got {opts.damping_init}")
     if not opts.damping_grow > 1.0:
@@ -219,6 +234,8 @@ def _check_damping(opts):
         raise ValueError("damping_shrink must not be nan")
     if not np.isfinite(opts.damping_max):
         raise ValueError(f"damping_max must be finite, got {opts.damping_max}")
+    if not (np.isfinite(opts.tol_res) and opts.tol_res > 0.0):
+        raise ValueError(f"tol_res must be finite and > 0, got {opts.tol_res}")
 
 
 def _even_problem(problem):
@@ -267,18 +284,22 @@ def _max_norms(per_body):
     return np.sqrt(np.sum(per_body ** 2, axis=-1)).max(axis=-1)
 
 
-def _solve_batch(seeds, problem, opts):
-    """Levenberg-Marquardt on a (B, n, k) stack of seeds, in lock-step rounds.
+def _solve_batch(seeds, problem, opts, slots):
+    """Levenberg-Marquardt on an iterable of (n, k) seeds, in lock-step rounds.
 
-    Each round, every trial that has just started or just accepted a step
-    runs the convergence test and, if still open, is linearized (Jacobian,
-    normal matrix, gradient, damping base); then every open trial makes
-    one damped attempt. Damping, collision streak and iteration count are
-    per trial, and each trial makes exactly the decisions and the
-    arithmetic of a lone solve: trial steps are accepted only when they
-    decrease the trial's stacked residual norm, and steps whose minimum
-    separation falls below the collision guard are rejected with
-    increased damping instead of being evaluated.
+    Up to ``slots`` trials run at once, one per slot. Each round starts by
+    placing the next seeds in the slots that trials stopping in the last
+    round freed. Then every trial that has just started or just accepted
+    a step runs the convergence test and, if still open, is linearized
+    (Jacobian, normal matrix, gradient, damping base) and runs the
+    gradient test; then every open trial makes one damped attempt.
+    Damping, collision streak and iteration count are per trial, and each
+    trial makes exactly the decisions and the arithmetic of a lone solve:
+    trial steps are accepted only when they decrease the trial's stacked
+    residual norm, and steps whose minimum separation falls below the
+    collision guard are rejected with increased damping instead of being
+    evaluated. Results are yielded in seed order, each as soon as every
+    earlier trial has finished.
 
     Each trial point set is measured by one ``pair_geometry`` pass, from
     which the guard, the residual and, once the step is accepted, the
@@ -286,28 +307,32 @@ def _solve_batch(seeds, problem, opts):
     """
     n, k = problem.n, problem.k
     masses, asq, a = problem.masses, problem.asq, problem.a
-    points = np.array(seeds, dtype=float)
-    count = len(points)
+    seeds = iter(seeds)
+    points = np.empty((slots, n, k))
     # each trial's current pair geometry, kept for its next linearization
-    diff, r2 = _kernels.pair_geometry(points)
-    r2a = r2 ** a
-    per_body = points * asq + _kernels.forces_from(diff, r2a, masses)
-    max_norm = _max_norms(per_body)
-    cost = _costs(per_body)
-    history = [[float(value)] for value in max_norm]
-    damping = np.full(count, opts.damping_init, dtype=float)
-    streak = np.zeros(count, dtype=int)
-    iterations = np.zeros(count, dtype=int)
-    jtj = np.empty((count, n * k, n * k))
-    grad = np.empty((count, n * k))
-    mu_base = np.empty(count)
-    fresh = np.ones(count, dtype=bool)    # started or just accepted a step
-    active = np.ones(count, dtype=bool)
-    results = [None] * count
+    diff = np.empty((slots, n, n, k))
+    r2 = np.empty((slots, n, n))
+    r2a = np.empty((slots, n, n))
+    per_body = np.empty((slots, n, k))
+    max_norm = np.empty(slots)
+    cost = np.empty(slots)
+    history = [None] * slots
+    damping = np.empty(slots)
+    streak = np.empty(slots, dtype=int)
+    iterations = np.empty(slots, dtype=int)
+    jtj = np.empty((slots, n * k, n * k))
+    grad = np.empty((slots, n * k))
+    mu_base = np.empty(slots)
+    fresh = np.zeros(slots, dtype=bool)   # started or just accepted a step
+    active = np.zeros(slots, dtype=bool)
+    order = np.empty(slots, dtype=int)    # index of the seed in each slot
+    drawn = 0                             # seeds placed so far
+    finished = {}                         # results not yet yielded
+    yielded = 0
 
     def stop(done, termination):
         for i in done:
-            results[i] = SolveResult(
+            finished[int(order[i])] = SolveResult(
                 Configuration(points[i]), float(max_norm[i]),
                 int(iterations[i]), termination, tuple(history[i]))
         active[done] = False
@@ -319,6 +344,26 @@ def _solve_batch(seeds, problem, opts):
              termination)
 
     while True:
+        free = np.flatnonzero(~active)
+        placed = list(itertools.islice(seeds, free.size))
+        idx = free[:len(placed)]
+        if idx.size:
+            points[idx] = placed
+            diff[idx], r2[idx] = _kernels.pair_geometry(points[idx])
+            r2a[idx] = r2[idx] ** a
+            per_body[idx] = points[idx] * asq + _kernels.forces_from(
+                diff[idx], r2a[idx], masses)
+            max_norm[idx] = _max_norms(per_body[idx])
+            cost[idx] = _costs(per_body[idx])
+            for i in idx:
+                history[i] = [float(max_norm[i])]
+            damping[idx] = opts.damping_init
+            streak[idx] = 0
+            iterations[idx] = 0
+            fresh[idx] = active[idx] = True
+            order[idx] = np.arange(drawn, drawn + idx.size)
+            drawn += idx.size
+
         idx = np.flatnonzero(active & fresh)
         if idx.size:
             scale = residual_scale_batch(points[idx], r2[idx], problem)
@@ -334,16 +379,27 @@ def _solve_batch(seeds, problem, opts):
             jac_t = jac.transpose(0, 2, 1)
             normal = jac_t @ jac
             defect = per_body[idx].reshape(len(idx), n * k, 1)
-            jtj[idx] = normal
-            grad[idx] = (jac_t @ defect)[..., 0]
-            mu_base[idx] = np.maximum(
-                np.diagonal(normal, axis1=1, axis2=2).max(axis=1),
-                np.finfo(float).tiny)
+            gradient = (jac_t @ defect)[..., 0]
+            diagonal = np.diagonal(normal, axis1=1, axis2=2)
+            stalled = (np.sqrt(np.sum(gradient ** 2, axis=1))
+                       <= GRADIENT_RTOL * np.sqrt(diagonal.sum(axis=1))
+                       * cost[idx])
+            stop(idx[stalled], Termination.STALLED)
+            idx, live = idx[~stalled], ~stalled
+            jtj[idx] = normal[live]
+            grad[idx] = gradient[live]
+            mu_base[idx] = np.maximum(diagonal[live].max(axis=1),
+                                      np.finfo(float).tiny)
             fresh[idx] = False
 
+        while yielded in finished:
+            yield finished.pop(yielded)
+            yielded += 1
         idx = np.flatnonzero(active)
         if not idx.size:
-            return results
+            if len(placed) < free.size:    # every seed has been solved
+                return
+            continue
         lhs = jtj[idx] + (damping[idx] * mu_base[idx])[:, None, None] \
             * np.eye(n * k)
         steps = _damped_steps(lhs, -grad[idx])
@@ -405,7 +461,7 @@ def solve_from_seed(seed, problem, opts=None):
     """
     check_problem_config(problem, seed)
     opts = opts or SolveOptions()
-    _check_damping(opts)
+    _check_options(opts)
     even = _even_problem(problem)
     try:
         start = seed if even is problem else Configuration(seed.points[:, :-1])
@@ -413,7 +469,8 @@ def solve_from_seed(seed, problem, opts=None):
         max_norm = residual(seed, problem).max_norm
         return SolveResult(seed, max_norm, 0, Termination.COLLISION_GUARD,
                            (max_norm,))
-    return _lifted(_solve_batch(start.points[None], even, opts)[0], problem.k)
+    result = next(_solve_batch([start.points], even, opts, 1))
+    return _lifted(result, problem.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,18 +483,15 @@ class SearchClass:
 
 
 def _trial_results(problem, trials, rng_seed, opts):
-    """Solve trials 0..trials-1 in consecutive lock-step chunks, in order.
+    """Solve trials 0..trials-1 in one rolling lock-step batch, in order.
 
-    Trial t draws its seed from the generator (rng_seed, t); the seeds of
-    a chunk are drawn when the chunk starts.
+    Trial t draws its seed from the generator (rng_seed, t) when a slot
+    frees up for it.
     """
-    chunk = max(1, _BATCH_ENTRIES // (problem.n * problem.k) ** 2)
-    for start in range(0, trials, chunk):
-        seeds = [
-            sample_seed(problem, np.random.default_rng([rng_seed, t])).points
-            for t in range(start, min(start + chunk, trials))
-        ]
-        yield from _solve_batch(np.array(seeds), problem, opts)
+    seeds = (sample_seed(problem, np.random.default_rng([rng_seed, t])).points
+             for t in range(trials))
+    slots = max(1, _BATCH_ENTRIES // (problem.n * problem.k) ** 2)
+    return _solve_batch(seeds, problem, opts, min(slots, trials))
 
 
 def multistart_search(problem, trials, rng_seed, opts=None):
@@ -454,7 +508,7 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     opts = opts or SolveOptions()
-    _check_damping(opts)
+    _check_options(opts)
     even = _even_problem(problem)
 
     classes = []

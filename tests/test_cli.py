@@ -11,6 +11,7 @@ from releq import (
     document_from,
     save_document,
 )
+from releq import cli
 from releq.cli import main
 
 import oracles
@@ -338,6 +339,43 @@ def test_infinite_omega_rejected(two_body_doc, capsys):
     assert main(["probe", str(two_body_doc), "--trials", "3",
                  "--omegas", "1,inf"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["search", "--trials", "3"],
+    ["probe", "--trials", "3"],
+    ["continue", "--a-target", "-2", "--steps", "2"],
+], ids=["solve", "search", "probe", "continue"])
+def test_unusable_tolerance_rejected(command, tol, two_body_doc, capsys):
+    # --tol inf reported every seed as an equilibrium class; nan, 0 and
+    # -1 ran every trial to failure, and both exited 0
+    assert main([command[0], str(two_body_doc), *command[1:],
+                 "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "tol_res" in errors[0]
+
+
+def test_parser_is_built_once(monkeypatch, two_body_doc, capsys):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    runs = []
+    for _ in range(2):
+        assert main(["verify", str(two_body_doc), "--t-end", "0.5"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert builds == [1]
+    assert runs[0] == runs[1]
 
 
 def test_out_path_in_missing_directory_is_io_error(two_body_doc, tmp_path):

@@ -11,6 +11,7 @@ from releq import (
     continuation_in_exponent,
     exponent_schedule,
     fingerprint,
+    jacobian,
     lemma_gap_bound,
     lemma_identity_gap,
     multistart_search,
@@ -63,9 +64,10 @@ class TestSolveFromSeed:
 
     def test_unreachable_tolerance_stalls(self, two_body):
         # at the rounding floor no step can decrease the residual, so the
-        # damping overflows and the solve reports a stall
+        # solve reports a stall
         prob, cfg = two_body
-        result = solve_from_seed(cfg, prob, SolveOptions(tol_res=0.0))
+        opts = SolveOptions(tol_res=np.finfo(float).tiny)
+        result = solve_from_seed(cfg, prob, opts)
         assert result.termination is Termination.STALLED
         assert result.residual_max < 1e-14
 
@@ -77,6 +79,17 @@ class TestSolveFromSeed:
         opts = SolveOptions(tol_res=0.0, damping_max=damping_max)
         with pytest.raises(ValueError, match="damping_max"):
             solve_from_seed(cfg, prob, opts)
+
+    @pytest.mark.parametrize("tol_res", [np.inf, np.nan, 0.0, -1.0])
+    def test_unusable_tolerance_rejected(self, two_body, tol_res):
+        # inf makes any seed converge; nan, 0 and below make every trial
+        # fail
+        prob, cfg = two_body
+        opts = SolveOptions(tol_res=tol_res)
+        with pytest.raises(ValueError, match="tol_res"):
+            solve_from_seed(cfg, prob, opts)
+        with pytest.raises(ValueError, match="tol_res"):
+            multistart_search(prob, 3, 0, opts)
 
     def test_zero_iteration_budget(self, two_body):
         prob, cfg = two_body
@@ -157,37 +170,66 @@ class TestMultistart:
         (3, 2, -1.5, 10, SolveOptions(), Termination.CONVERGED),
         (5, 3, -1.5, 6, SolveOptions(max_iterations=5),
          Termination.MAX_ITERATIONS),
-        (4, 2, -1.5, 6, SolveOptions(tol_res=0.0, max_iterations=60),
+        (4, 2, -1.5, 6,
+         SolveOptions(tol_res=np.finfo(float).tiny, max_iterations=60),
          Termination.STALLED),
         (7, 3, -2.5, 10, SolveOptions(guard_rel=0.1, max_collision_rejects=2),
          Termination.COLLISION_GUARD),
     ], ids=["converged", "max_iterations", "stalled", "collision_guard"])
     def test_trials_match_lone_solves(self, monkeypatch, n, k, a, trials,
                                       opts, termination):
-        # every trial of a lock-step chunk ends exactly where its seed
-        # solved alone ends, across chunk boundaries (chunks of 4 here);
-        # odd k is solved in the even subspace, so its trials draw even
-        # seeds, and lone solves get them lifted to z = 0
+        # every trial of a rolling lock-step batch ends exactly where its
+        # seed solved alone ends, whichever trials share the rounds with
+        # it (4 slots here, refilled as trials stop); odd k is solved in
+        # the even subspace, so its trials draw even seeds, and lone
+        # solves get them lifted to z = 0
         prob = Problem(k, np.ones(n), np.ones(k // 2), a)
         even_k = k - k % 2
         even = Problem(even_k, prob.masses, prob.frequencies, a)
         seeds = [sample_seed(even, np.random.default_rng([17, t]))
                  for t in range(trials)]
-        lone = [solve_from_seed(lifted(seed.points, k), prob, opts)
-                for seed in seeds]
+        rounds = [0]    # damped attempts since the last reset
+        damped_steps = solver._damped_steps
+
+        def counting(lhs, rhs):
+            rounds[0] += 1
+            return damped_steps(lhs, rhs)
+
+        monkeypatch.setattr(solver, "_damped_steps", counting)
+        lone, lone_rounds = [], []
+        for seed in seeds:
+            rounds[0] = 0
+            lone.append(solve_from_seed(lifted(seed.points, k), prob, opts))
+            lone_rounds.append(rounds[0])
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * (n * even_k) ** 2)
-        batched, chunks = [], []
+        batched, slot_counts, draws = [], [], []
         solve_batch = solver._solve_batch
 
-        def recording(stack, problem, options):
-            chunks.append(len(stack))
-            results = solve_batch(stack, problem, options)
-            batched.extend(results)
-            return results
+        def recording(stack, problem, options, slots):
+            slot_counts.append(slots)
+
+            def drawn():
+                for seed in stack:
+                    draws.append(rounds[0])
+                    yield seed
+
+            rounds[0] = 0
+            for result in solve_batch(drawn(), problem, options, slots):
+                batched.append(result)
+                yield result
 
         monkeypatch.setattr(solver, "_solve_batch", recording)
         multistart_search(prob, trials, 17, opts)
-        assert chunks == [4] * (trials // 4) + [trials % 4]
+        assert slot_counts == [4]
+        # the fifth seed takes the first freed slot: while the slowest of
+        # the first four trials is still mid-solve where their lengths
+        # differ, and after the round they all stop in where they do not
+        assert draws[:4] == [0] * 4
+        if termination in (Termination.CONVERGED, Termination.STALLED):
+            assert 0 < draws[4] < max(lone_rounds[:4])
+        else:
+            assert len(set(lone_rounds[:4])) == 1
+            assert draws[4] == lone_rounds[0]
         assert termination in {result.termination for result in batched}
         for mine, alone in zip(batched, lone, strict=True):
             assert np.array_equal(mine.config.points,
@@ -227,10 +269,105 @@ class TestMultistart:
             assert np.array_equal(mine.fingerprint.sorted_distances,
                                   theirs.fingerprint.sorted_distances)
 
+    def test_one_slot_solves_every_trial(self, monkeypatch):
+        # at large n one trial fills the working set: a slot freed while
+        # no other trial is open must still take the next seed
+        prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -1.5)
+        expected = multistart_search(prob, 12, 4)
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1)
+        classes = multistart_search(prob, 12, 4)
+        assert sum(cls.hits for cls in expected) == 12
+        assert_same_classes(classes, expected)
+
     def test_seed_radius_formula(self):
         prob = Problem(2, [1.0, 3.0], [2.0], -1.5)
         expected = (4.0 / 4.0) ** (1.0 / -3.0) * 2
         assert seed_radius(prob) == pytest.approx(expected)
+
+
+def assert_same_classes(classes, expected):
+    """Search classes equal bit for bit, in order."""
+    assert len(classes) == len(expected)
+    for mine, theirs in zip(classes, expected):
+        assert np.array_equal(mine.result.config.points,
+                              theirs.result.config.points)
+        assert mine.result.residual_max == theirs.result.residual_max
+        assert mine.result.iterations == theirs.result.iterations
+        assert mine.result.residual_history == theirs.result.residual_history
+        assert mine.hits == theirs.hits
+        assert np.array_equal(mine.fingerprint.sorted_distances,
+                              theirs.fingerprint.sorted_distances)
+        assert np.array_equal(mine.fingerprint.sorted_mass_weighted_norms,
+                              theirs.fingerprint.sorted_mass_weighted_norms)
+
+
+def search_trials(prob, trials, rng_seed, gradient_rtol):
+    """Classes and every trial's result of a search at ``gradient_rtol``."""
+    results = []
+    solve_batch = solver._solve_batch
+
+    def recording(*args):
+        for result in solve_batch(*args):
+            results.append(result)
+            yield result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "GRADIENT_RTOL", gradient_rtol)
+        patch.setattr(solver, "_solve_batch", recording)
+        classes = multistart_search(prob, trials, rng_seed)
+    return classes, results
+
+
+class TestGradientTest:
+    @pytest.mark.parametrize("n, k, a, unequal, trials", [
+        (5, 2, -0.75, False, 40),
+        (8, 2, -2.0, True, 32),
+        (12, 2, -3.0, False, 24),
+        (6, 4, -1.5, True, 24),
+        (7, 4, -3.0, False, 16),
+        (30, 2, -1.5, False, 16),
+    ])
+    def test_never_cuts_a_converging_trial(self, n, k, a, unequal, trials):
+        # every trial that converges without the test converges with it
+        # along the same path; every other trial stops no later
+        rng = np.random.default_rng(10 * n + k)
+        masses = rng.uniform(0.5, 2.0, n) if unequal else np.ones(n)
+        rates = rng.uniform(0.5, 2.0, k // 2) if unequal else np.ones(k // 2)
+        prob = Problem(k, masses, rates, a)
+        classes, results = search_trials(prob, trials, 3,
+                                         solver.GRADIENT_RTOL)
+        expected, reference = search_trials(prob, trials, 3, 0.0)
+        assert expected
+        assert_same_classes(classes, expected)
+        for mine, theirs in zip(results, reference, strict=True):
+            assert mine.converged == theirs.converged
+            if theirs.converged:
+                assert np.array_equal(mine.config.points,
+                                      theirs.config.points)
+                assert mine.residual_history == theirs.residual_history
+            else:
+                assert mine.iterations <= theirs.iterations
+
+    def test_stall_ends_at_stationary_point(self, monkeypatch):
+        # a cold n = 16 solve that stalls: the test stops it on the same
+        # path, earlier, where the gradient has vanished relative to the
+        # Jacobian and the residual
+        prob = Problem(2, np.ones(16), [1.0], -1.5)
+        seed = sample_seed(prob, np.random.default_rng([0, 10]))
+        rtol = solver.GRADIENT_RTOL
+        result = solve_from_seed(seed, prob)
+        monkeypatch.setattr(solver, "GRADIENT_RTOL", 0.0)
+        full = solve_from_seed(seed, prob)
+        assert result.termination is Termination.STALLED
+        assert full.termination is Termination.STALLED
+        assert result.iterations < full.iterations
+        assert result.residual_history == \
+            full.residual_history[:result.iterations + 1]
+        J = jacobian(result.config, prob)
+        F = residual(result.config, prob).per_body.ravel()
+        ratio = np.linalg.norm(J.T @ F) / (np.linalg.norm(J)
+                                           * np.linalg.norm(F))
+        assert ratio <= rtol
 
 
 def lifted(points, k, z=0.0):
