@@ -19,7 +19,6 @@ from .criterion import (
 )
 from .documents import (
     ProblemDocument,
-    document_from,
     dumps_document,
     load_document,
     parse_document,
@@ -87,7 +86,6 @@ __all__ = [
     "cluster_sum",
     "conserved_quantities",
     "continuation_in_exponent",
-    "document_from",
     "dumps_document",
     "exponent_schedule",
     "fingerprint",

@@ -24,14 +24,12 @@ from .criterion import (
 )
 from .documents import load_document, write_text_atomic
 from .dynamics import (
-    integrate,
     relative_equilibrium_deviation,
     rigid_rotation_gap,
-    rigid_rotation_state,
-    trajectory_csv,
+    rigid_rotation_trajectory,
 )
 from .errors import DocumentError, SingularityError
-from .probe import bound_probe, frequency_sweep, sweep_csv
+from .probe import bound_probe, frequency_sweep
 from .solver import (
     SolveOptions,
     continuation_in_exponent,
@@ -59,18 +57,30 @@ def _emit(args, text):
     if args.out:
         write_text_atomic(args.out, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _json_report(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _csv(header, rows):
+    """CSV text: a None cell is empty, an int or str cell is str(cell) and
+    any other cell repr(float(cell)), so floats round-trip exactly."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            "" if cell is None
+            else str(cell) if isinstance(cell, (int, str))
+            else repr(float(cell))
+            for cell in row))
+    return "\n".join(lines) + "\n"
+
+
 def _need_positions(doc):
-    config = doc.configuration()
-    if config is None:
+    if doc.config is None:
         raise DocumentError("document has no 'positions'", field="positions")
-    return config
+    return doc.config
 
 
 def _horizon(problem, t_end):
@@ -98,7 +108,7 @@ def _solve_options(args):
 
 def _cmd_verify(args):
     doc = load_document(args.input)
-    problem = doc.problem()
+    problem = doc.problem
     config = _need_positions(doc)
 
     report = residual(config, problem)
@@ -127,7 +137,7 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     doc = load_document(args.input)
-    problem = doc.problem()
+    problem = doc.problem
     seed = _need_positions(doc)
     result = solve_from_seed(seed, problem, _solve_options(args))
     payload = result.to_dict()
@@ -160,27 +170,21 @@ def _search_payload(classes, args):
 
 
 def _search_csv(classes):
-    if not classes:
-        return "class,hits,iterations,residual_max\n"
-    n_dist = classes[0].fingerprint.sorted_distances.size
-    n_norm = classes[0].fingerprint.sorted_mass_weighted_norms.size
     header = ["class", "hits", "iterations", "residual_max"]
-    header += [f"d{i}" for i in range(n_dist)]
-    header += [f"w{i}" for i in range(n_norm)]
-    lines = [",".join(header)]
-    for idx, cls in enumerate(classes):
-        row = [str(idx), str(cls.hits), str(cls.result.iterations),
-               repr(cls.result.residual_max)]
-        row += [repr(float(x)) for x in cls.fingerprint.sorted_distances]
-        row += [repr(float(x))
-                for x in cls.fingerprint.sorted_mass_weighted_norms]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    if classes:
+        fp = classes[0].fingerprint
+        header += [f"d{i}" for i in range(fp.sorted_distances.size)]
+        header += [f"w{i}" for i in range(fp.sorted_mass_weighted_norms.size)]
+    return _csv(header, (
+        [idx, cls.hits, cls.result.iterations, cls.result.residual_max,
+         *cls.fingerprint.sorted_distances,
+         *cls.fingerprint.sorted_mass_weighted_norms]
+        for idx, cls in enumerate(classes)))
 
 
 def _cmd_search(args):
     doc = load_document(args.input)
-    problem = doc.problem()
+    problem = doc.problem
     classes = multistart_search(problem, args.trials, args.seed,
                                 opts=_solve_options(args))
     converged = sum(cls.hits for cls in classes)
@@ -195,7 +199,7 @@ def _cmd_search(args):
 
 def _cmd_continue(args):
     doc = load_document(args.input)
-    problem = doc.problem()
+    problem = doc.problem
     seed = _need_positions(doc)
     opts = _solve_options(args)
     start = solve_from_seed(seed, problem, opts)
@@ -218,26 +222,28 @@ def _cmd_continue(args):
     print(f"continue: steps={args.steps} completed={completed} "
           f"final_a={rows[-1]['a']:.6g}")
     if args.format == "csv":
-        header = ("step,a,termination,iterations,residual_max,"
-                  "min_pairwise_distance,max_point_norm")
-        lines = [header]
-        for idx, row in enumerate(rows):
-            lines.append(",".join([
-                str(idx), repr(row["a"]), row["termination"],
-                str(row["iterations"]), repr(row["residual_max"]),
-                repr(row["min_pairwise_distance"]),
-                repr(row["max_point_norm"]),
-            ]))
-        _emit(args, "\n".join(lines) + "\n")
+        columns = ["a", "termination", "iterations", "residual_max",
+                   "min_pairwise_distance", "max_point_norm"]
+        _emit(args, _csv(["step", *columns],
+                         ([idx, *(row[c] for c in columns)]
+                          for idx, row in enumerate(rows))))
     else:
         _emit(args, _json_report({"a_target": args.a_target,
                                   "steps": args.steps, "rows": rows}))
     return EXIT_OK if completed == len(schedule) else EXIT_VERIFY_FAILED
 
 
+def _probe_csv(omegas, reports):
+    return _csv(
+        ["omega_scale", "classes_found", "c_hat", "C_hat", "trials",
+         "converged"],
+        ([omega, r.classes_found, r.min_pairwise_distance, r.max_point_norm,
+          r.trials, r.converged] for omega, r in zip(omegas, reports)))
+
+
 def _cmd_probe(args):
     doc = load_document(args.input)
-    problem = doc.problem()
+    problem = doc.problem
     opts = _solve_options(args)
     if args.omegas:
         omegas = [float(w) for w in args.omegas.split(",") if w.strip()]
@@ -246,7 +252,7 @@ def _cmd_probe(args):
         found = sum(r.classes_found for r in reports)
         print(f"probe: sweep omegas={len(omegas)} total_classes={found}")
         if args.format == "csv":
-            _emit(args, sweep_csv(reports, omegas))
+            _emit(args, _probe_csv(omegas, reports))
         else:
             _emit(args, _json_report({
                 "omegas": omegas,
@@ -261,7 +267,7 @@ def _cmd_probe(args):
           f"C_hat={'n/a' if big_c is None else f'{big_c:.9g}'} "
           f"converged={report.converged}/{report.trials}")
     if args.format == "csv":
-        _emit(args, sweep_csv([report], [1.0]))
+        _emit(args, _probe_csv([1.0], [report]))
     else:
         _emit(args, _json_report(report.to_dict()))
     return EXIT_OK
@@ -269,17 +275,22 @@ def _cmd_probe(args):
 
 def _cmd_integrate(args):
     doc = load_document(args.input)
-    problem = doc.problem()
+    problem = doc.problem
     config = _need_positions(doc)
     t_end = _horizon(problem, args.t_end)
-    state = rigid_rotation_state(config, problem)
-    times = np.linspace(0.0, t_end, args.samples + 1)
-    traj = integrate(state, problem, t_end, args.tol, sample_times=times)
+    traj = rigid_rotation_trajectory(config, problem, t_end, args.samples,
+                                     args.tol)
     deviation = rigid_rotation_gap(traj, config, problem)
     print(f"integrate: t_end={t_end:.9g} samples={args.samples} "
           f"deviation={deviation:.6e}")
     if args.format == "csv":
-        _emit(args, trajectory_csv(traj))
+        s, n, k = traj.positions.shape
+        header = ["t", "body", *(f"q{c}" for c in range(k)),
+                  *(f"v{c}" for c in range(k))]
+        _emit(args, _csv(header, (
+            [traj.times[idx], body, *traj.positions[idx, body],
+             *traj.velocities[idx, body]]
+            for idx in range(s) for body in range(n))))
     else:
         _emit(args, _json_report({
             "t_end": t_end,

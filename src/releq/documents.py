@@ -13,10 +13,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DocumentError
-from .model import Configuration, Problem
+from .model import Configuration, Problem, check_problem_config
 
 SCHEMA_VERSION = "1"
 
@@ -24,26 +22,19 @@ _KEY_ORDER = ("schema_version", "dimension", "exponent", "masses",
               "frequencies", "positions", "metadata")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProblemDocument:
-    """Parsed, validated document contents."""
+    """A document's validated contents: its Problem, its Configuration
+    (None when the document has no positions) and its string metadata."""
 
-    schema_version: str
-    dimension: int
-    exponent: float
-    masses: list
-    frequencies: list
-    positions: list | None = None
+    problem: Problem
+    config: Configuration | None = None
     metadata: dict = field(default_factory=dict)
 
-    def problem(self):
-        return Problem(self.dimension, self.masses, self.frequencies,
-                       self.exponent)
-
-    def configuration(self):
-        if self.positions is None:
-            return None
-        return Configuration(np.array(self.positions, dtype=float))
+    def __post_init__(self):
+        if self.config is not None:
+            check_problem_config(self.problem, self.config)
+        object.__setattr__(self, "metadata", dict(self.metadata or {}))
 
 
 def _number_list(value, name, length=None):
@@ -101,7 +92,7 @@ def parse_document(text):
     frequencies = _number_list(raw["frequencies"], "frequencies")
     # value ranges are Problem's to check
     try:
-        Problem(dimension, masses, frequencies, exponent)
+        problem = Problem(dimension, masses, frequencies, exponent)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -125,13 +116,14 @@ def parse_document(text):
             "field 'metadata' must be a string-to-string map", field="metadata"
         )
 
-    doc = ProblemDocument(version, dimension, float(exponent), masses,
-                          frequencies, positions, dict(metadata))
-    try:
-        doc.configuration()
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    return doc
+    config = None
+    if positions is not None:
+        # collisions are Configuration's to check
+        try:
+            config = Configuration(positions)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
+    return ProblemDocument(problem, config, metadata)
 
 
 def load_document(path):
@@ -139,25 +131,18 @@ def load_document(path):
         return parse_document(handle.read())
 
 
-def document_from(problem, config=None, metadata=None):
-    positions = None if config is None else config.points.tolist()
-    return ProblemDocument(
-        SCHEMA_VERSION, problem.k, problem.a, problem.masses.tolist(),
-        problem.frequencies.tolist(), positions, dict(metadata or {}),
-    )
-
-
 def dumps_document(doc):
     """Canonical serialization: fixed key order, 2-space indent."""
+    problem = doc.problem
     payload = {
-        "schema_version": doc.schema_version,
-        "dimension": doc.dimension,
-        "exponent": doc.exponent,
-        "masses": doc.masses,
-        "frequencies": doc.frequencies,
+        "schema_version": SCHEMA_VERSION,
+        "dimension": problem.k,
+        "exponent": problem.a,
+        "masses": problem.masses.tolist(),
+        "frequencies": problem.frequencies.tolist(),
     }
-    if doc.positions is not None:
-        payload["positions"] = doc.positions
+    if doc.config is not None:
+        payload["positions"] = doc.config.points.tolist()
     if doc.metadata:
         payload["metadata"] = doc.metadata
     return json.dumps(payload, indent=2) + "\n"

@@ -155,10 +155,7 @@ def _initial_step(rhs, t0, y0, f0, tol):
     d0 = np.sqrt(np.mean((y0 / sc) ** 2))
     d1 = np.sqrt(np.mean((f0 / sc) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    try:
-        f1 = rhs(y0 + h0 * f0)
-    except SingularityError:
-        return h0
+    f1 = rhs(y0 + h0 * f0)
     d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -256,7 +253,7 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
                 y_new = y + h_step * (stages.T @ _DP_B)
                 err_vec = h_step * (stages.T @ _DP_E)
                 err = _scaled_err(err_vec, y, y_new, tol)
-            except (SingularityError, FloatingPointError):
+            except FloatingPointError:
                 err = np.inf
             if not np.isfinite(err):
                 h = 0.1 * h_step
@@ -296,31 +293,22 @@ def rigid_rotation_gap(trajectory, config, problem):
     return worst
 
 
-def relative_equilibrium_deviation(config, problem, t_end, samples=32, tol=1e-10):
-    """Max gap between the integrated motion and rigid rotation of ``config``.
+def rigid_rotation_trajectory(config, problem, t_end, samples=32, tol=1e-10):
+    """Integrated motion from ``rigid_rotation_state`` of ``config``.
 
-    Starts from ``rigid_rotation_state`` and samples the motion at
-    ``samples`` + 1 uniform times in [0, t_end]; ``samples`` must be >= 1.
+    The motion is sampled at ``samples`` + 1 uniform times in [0, t_end];
+    ``samples`` must be >= 1.
     """
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     state = rigid_rotation_state(config, problem)
     times = np.linspace(0.0, float(t_end), samples + 1)
-    traj = integrate(state, problem, t_end, tol, sample_times=times)
-    return rigid_rotation_gap(traj, config, problem)
+    return integrate(state, problem, t_end, tol, sample_times=times)
 
 
-def trajectory_csv(trajectory):
-    """CSV export: one row per (sample, body) with positions and velocities."""
-    s, n, k = trajectory.positions.shape
-    header = ["t", "body"] + [f"q{c}" for c in range(k)] + [f"v{c}" for c in range(k)]
-    lines = [",".join(header)]
-    for idx in range(s):
-        t = trajectory.times[idx]
-        for body in range(n):
-            row = [repr(float(t)), str(body)]
-            row += [repr(float(x)) for x in trajectory.positions[idx, body]]
-            row += [repr(float(x)) for x in trajectory.velocities[idx, body]]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def relative_equilibrium_deviation(config, problem, t_end, samples=32, tol=1e-10):
+    """Max gap between the integrated motion and rigid rotation of ``config``,
+    over the samples of ``rigid_rotation_trajectory``."""
+    trajectory = rigid_rotation_trajectory(config, problem, t_end, samples, tol)
+    return rigid_rotation_gap(trajectory, config, problem)

@@ -121,17 +121,3 @@ def frequency_sweep(problem_template, omega_values, trials, rng_seed,
     return [bound_probe(problem, trials, rng_seed, opts=opts)
             for problem in problems]
 
-
-def sweep_csv(reports, omega_values):
-    """CSV rows (omega_scale, classes_found, c_hat, C_hat, trials, converged)."""
-    lines = ["omega_scale,classes_found,c_hat,C_hat,trials,converged"]
-    for omega, report in zip(omega_values, reports):
-        c_hat = "" if report.min_pairwise_distance is None \
-            else repr(report.min_pairwise_distance)
-        big_c = "" if report.max_point_norm is None \
-            else repr(report.max_point_norm)
-        lines.append(",".join([
-            repr(float(omega)), str(report.classes_found), c_hat, big_c,
-            str(report.trials), str(report.converged),
-        ]))
-    return "\n".join(lines) + "\n"

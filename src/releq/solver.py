@@ -27,7 +27,7 @@ trial draws its seed from a generator split off the root seed by trial
 index, so results never depend on which trials share its rounds.
 
 A trial stalls when its damped steps keep failing until the damping
-passes ``damping_max``, or, by the gradient test of MINPACK's ``lmder``,
+passes ``DAMPING_MAX``, or, by the gradient test of MINPACK's ``lmder``,
 when it reaches a stationary point of ||F||^2 that is no zero:
 ||J^T F|| <= GRADIENT_RTOL * ||J||_F * ||F||, tested each time the trial
 is linearized, after the convergence and iteration tests.
@@ -62,6 +62,15 @@ _BATCH_ENTRIES = 2 ** 16
 # to -3): converged trials stay above 1.5e-5 along their path, and
 # stalled trials end at or below 2.2e-8.
 GRADIENT_RTOL = 1e-7
+# A trial that has accepted this many steps without converging stops.
+MAX_ITERATIONS = 200
+# A trial whose damping grows past this after a rejected step has stalled.
+DAMPING_MAX = 1e12
+# Trial steps whose minimum separation drops below GUARD_REL times the
+# trial's size are rejected; MAX_COLLISION_REJECTS rejections in a row
+# stop the trial at the collision guard.
+GUARD_REL = 1e-6
+MAX_COLLISION_REJECTS = 25
 # Fingerprints agreeing to this relative tolerance are one class.
 FINGERPRINT_RTOL = 1e-6
 # Draws of a seed that may collide before ``sample_seed`` gives up.
@@ -80,19 +89,13 @@ class SolveOptions:
     """Tunables of the damped least-squares iteration.
 
     tol_res is relative: convergence means max_norm <= tol_res * scale
-    with the scale from ``criterion.residual_scale``. guard_rel rejects
-    trial steps whose minimum separation drops below guard_rel times the
-    trial's own size.
+    with the scale from ``criterion.residual_scale``.
     """
 
     tol_res: float = 1e-12
-    max_iterations: int = 200
     damping_init: float = 1e-3
     damping_grow: float = 10.0
     damping_shrink: float = 0.5
-    damping_max: float = 1e12
-    guard_rel: float = 1e-6
-    max_collision_rejects: int = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +235,6 @@ def _check_options(opts):
         raise ValueError(f"damping_grow must be > 1, got {opts.damping_grow}")
     if np.isnan(opts.damping_shrink):
         raise ValueError("damping_shrink must not be nan")
-    if not np.isfinite(opts.damping_max):
-        raise ValueError(f"damping_max must be finite, got {opts.damping_max}")
     if not (np.isfinite(opts.tol_res) and opts.tol_res > 0.0):
         raise ValueError(f"tol_res must be finite and > 0, got {opts.tol_res}")
 
@@ -338,9 +339,9 @@ def _solve_batch(seeds, problem, opts, slots):
         active[done] = False
 
     def reject(rejected, termination, give_up=False):
-        # grow the damping; stop trials past damping_max (or giving up)
+        # grow the damping; stop trials past DAMPING_MAX (or giving up)
         damping[rejected] *= opts.damping_grow
-        stop(rejected[give_up | (damping[rejected] > opts.damping_max)],
+        stop(rejected[give_up | (damping[rejected] > DAMPING_MAX)],
              termination)
 
     while True:
@@ -370,8 +371,7 @@ def _solve_batch(seeds, problem, opts, slots):
             converged = max_norm[idx] <= opts.tol_res * scale
             stop(idx[converged], Termination.CONVERGED)
             idx = idx[~converged]
-            spent = iterations[idx] >= opts.max_iterations
-            iterations[idx[spent]] = opts.max_iterations
+            spent = iterations[idx] >= MAX_ITERATIONS
             stop(idx[spent], Termination.MAX_ITERATIONS)
             idx = idx[~spent]
             jac = _kernels.jacobian_from(diff[idx], r2[idx], r2a[idx],
@@ -410,19 +410,19 @@ def _solve_batch(seeds, problem, opts, slots):
         trial = points[idx] + steps[finite].reshape(-1, n, k)
         # a trial passes if it would make a Configuration (finite, above
         # the construction threshold, which lies under the guard) and its
-        # minimum separation is not below guard_rel times its size
+        # minimum separation is not below GUARD_REL times its size
         passed = np.isfinite(trial).all(axis=(1, 2))
         whole = np.flatnonzero(passed)
         size = _max_norms(trial[whole])
         trial_diff, trial_r2 = _kernels.pair_geometry(trial[whole])
         min_dist = _kernels.min_distance_from(trial_r2)
         clear = ((min_dist > collision_threshold(size))
-                 & ~(min_dist < opts.guard_rel * np.maximum(1.0, size)))
+                 & ~(min_dist < GUARD_REL * np.maximum(1.0, size)))
         passed[whole] = clear
         guarded = idx[~passed]
         streak[guarded] += 1
         reject(guarded, Termination.COLLISION_GUARD,
-               streak[guarded] >= opts.max_collision_rejects)
+               streak[guarded] >= MAX_COLLISION_REJECTS)
         idx, trial = idx[passed], trial[passed]
         trial_diff, trial_r2 = trial_diff[clear], trial_r2[clear]
         streak[idx] = 0

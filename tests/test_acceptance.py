@@ -18,8 +18,8 @@ import pytest
 from releq import (
     Configuration,
     Problem,
+    ProblemDocument,
     bound_probe,
-    document_from,
     frequency_sweep,
     jacobian,
     lemma_identity_gap,
@@ -110,7 +110,7 @@ def test_criterion_2_ngon_residuals(tmp_path):
             rep = residual(cfg, prob)
             assert rep.max_norm < 1e-12 * residual_scale(cfg, prob), (n, a)
             doc_path = tmp_path / f"ngon_{n}_{a}.json"
-            save_document(doc_path, document_from(prob, cfg))
+            save_document(doc_path, ProblemDocument(prob, cfg))
             code = main(["verify", str(doc_path), "--t-end", "0.25",
                          "--samples", "4",
                          "--out", str(tmp_path / "report.json")])
@@ -291,7 +291,7 @@ def test_criterion_7_bound_probe_and_sweep():
 def test_criterion_8_byte_identical_cli(tmp_path):
     prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -1.5)
     doc = tmp_path / "three.json"
-    save_document(doc, document_from(prob))
+    save_document(doc, ProblemDocument(prob))
 
     def run(cmd, out, jobs):
         subprocess.run(

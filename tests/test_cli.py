@@ -8,7 +8,7 @@ import pytest
 from releq import (
     Configuration,
     Problem,
-    document_from,
+    ProblemDocument,
     save_document,
 )
 from releq import cli
@@ -22,7 +22,7 @@ def two_body_doc(tmp_path):
     prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
     cfg = Configuration(oracles.two_body_points(1.0, 1.0, 1.0, -1.5))
     path = tmp_path / "twobody.json"
-    save_document(path, document_from(prob, cfg))
+    save_document(path, ProblemDocument(prob, cfg))
     return path
 
 
@@ -32,7 +32,7 @@ def trigon_doc(tmp_path):
     rho = oracles.ngon_circumradius(3, 1.0, 1.0, -1.5)
     cfg = Configuration(oracles.ngon_points(3, rho))
     path = tmp_path / "trigon.json"
-    save_document(path, document_from(prob, cfg))
+    save_document(path, ProblemDocument(prob, cfg))
     return path
 
 
@@ -40,7 +40,7 @@ def trigon_doc(tmp_path):
 def problem_only_doc(tmp_path):
     prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -1.5)
     path = tmp_path / "three.json"
-    save_document(path, document_from(prob))
+    save_document(path, ProblemDocument(prob))
     return path
 
 
@@ -175,6 +175,15 @@ class TestSearch:
         assert lines[0].startswith("class,hits,iterations,residual_max,d0")
         assert len(lines) == 3  # header + the two known classes
 
+    def test_csv_without_classes_is_header_only(self, problem_only_doc,
+                                                 tmp_path):
+        # an unreachable tolerance leaves no converged trial
+        out = tmp_path / "none.csv"
+        assert main(["search", str(problem_only_doc), "--trials", "3",
+                     "--tol", "1e-300", "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "class,hits,iterations,residual_max\n"
+
     def test_bad_trials_flag(self, problem_only_doc, capsys):
         assert main(["search", str(problem_only_doc), "--trials", "0"]) == 2
 
@@ -226,8 +235,23 @@ class TestProbe:
         assert len(lines) == 4
         for line, omega in zip(lines[1:], (0.5, 1.0, 2.0)):
             cells = line.split(",")
+            assert float(cells[0]) == omega
+            assert int(cells[1]) == 1    # the two-body class
             exact = 2.0 ** (1.0 / 3.0) * omega ** (-2.0 / 3.0)
             assert float(cells[2]) == pytest.approx(exact, rel=1e-6)
+            assert int(cells[4]) == 15
+
+    def test_csv_without_convergence_has_empty_bounds(self,
+                                                      problem_only_doc,
+                                                      tmp_path):
+        # an unreachable tolerance leaves no converged trial
+        out = tmp_path / "probe.csv"
+        assert main(["probe", str(problem_only_doc), "--trials", "3",
+                     "--tol", "1e-300", "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "omega_scale,classes_found,c_hat,C_hat,trials,converged\n"
+            "1.0,0,,,3,0\n")
 
     def test_probe_byte_identical(self, problem_only_doc, tmp_path):
         out1 = tmp_path / "p1.json"
@@ -251,6 +275,8 @@ class TestIntegrate:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,body,q0,q1,v0,v1"
         assert len(lines) == 1 + 65 * 3
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.0 and int(first[1]) == 0
 
     def test_json_trajectory(self, two_body_doc, tmp_path):
         out = tmp_path / "traj.json"
@@ -292,7 +318,7 @@ def test_overflowing_forces_fail_with_one_error_line(command, message,
     prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -200.0)
     cfg = Configuration([[-0.01, 0.0], [0.0, 0.0], [0.01, 0.0]])
     path = tmp_path / "overflow.json"
-    save_document(path, document_from(prob, cfg))
+    save_document(path, ProblemDocument(prob, cfg))
     with np.errstate(over="ignore", invalid="ignore"):
         assert main([command, str(path), "--t-end", "1.0"]) == 1
     err = capsys.readouterr().err
@@ -308,7 +334,7 @@ def test_overflowing_forces_print_no_warnings(command, tmp_path):
     prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -200.0)
     cfg = Configuration([[-0.01, 0.0], [0.0, 0.0], [0.01, 0.0]])
     path = tmp_path / "overflow.json"
-    save_document(path, document_from(prob, cfg))
+    save_document(path, ProblemDocument(prob, cfg))
     proc = subprocess.run(
         [sys.executable, "-m", "releq.cli", command, str(path),
          "--t-end", "1.0"],

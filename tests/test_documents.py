@@ -7,7 +7,7 @@ from releq import (
     Configuration,
     DocumentError,
     Problem,
-    document_from,
+    ProblemDocument,
     dumps_document,
     parse_document,
     save_document,
@@ -21,7 +21,7 @@ import oracles
 def oracle_doc_text():
     prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
     cfg = Configuration(oracles.two_body_points(1.0, 1.0, 1.0, -1.5))
-    return dumps_document(document_from(prob, cfg, {"note": "oracle"}))
+    return dumps_document(ProblemDocument(prob, cfg, {"note": "oracle"}))
 
 
 def test_round_trip_is_fixed_point(oracle_doc_text):
@@ -33,8 +33,8 @@ def test_round_trip_is_fixed_point(oracle_doc_text):
 
 def test_parsed_values(oracle_doc_text):
     doc = parse_document(oracle_doc_text)
-    prob = doc.problem()
-    cfg = doc.configuration()
+    prob = doc.problem
+    cfg = doc.config
     assert prob.n == 2 and prob.k == 2 and prob.a == -1.5
     assert cfg.points.shape == (2, 2)
     assert doc.metadata == {"note": "oracle"}
@@ -42,9 +42,8 @@ def test_parsed_values(oracle_doc_text):
 
 def test_positions_optional():
     prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -1.5)
-    doc = parse_document(dumps_document(document_from(prob)))
-    assert doc.positions is None
-    assert doc.configuration() is None
+    doc = parse_document(dumps_document(ProblemDocument(prob)))
+    assert doc.config is None
 
 
 def test_syntax_error_carries_line():
@@ -87,7 +86,7 @@ def test_save_and_load(tmp_path, oracle_doc_text):
     save_document(path, parse_document(oracle_doc_text))
     assert path.read_text() == oracle_doc_text
     doc = load_document(path)
-    assert doc.dimension == 2
+    assert doc.problem.k == 2
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -103,6 +102,13 @@ def test_numbers_round_trip_bit_faithfully():
     prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
     cfg = Configuration(np.array([[values[0], values[1]],
                                   [values[2], values[3]]]) + 1.0)
-    text = dumps_document(document_from(prob, cfg))
-    back = parse_document(text).configuration()
+    text = dumps_document(ProblemDocument(prob, cfg))
+    back = parse_document(text).config
     assert np.array_equal(back.points, cfg.points)
+
+
+def test_configuration_must_fit_problem():
+    prob = Problem(2, [1.0, 1.0, 1.0], [1.0], -1.5)
+    cfg = Configuration(oracles.two_body_points(1.0, 1.0, 1.0, -1.5))
+    with pytest.raises(ValueError, match="does not match"):
+        ProblemDocument(prob, cfg)

@@ -5,6 +5,7 @@ from releq import (
     Configuration,
     PhaseState,
     Problem,
+    ProblemDocument,
     SingularityError,
     acceleration,
     conserved_quantities,
@@ -13,8 +14,9 @@ from releq import (
     relative_equilibrium_deviation,
     rigid_rotation_state,
     rotation_matrix,
+    save_document,
 )
-from releq.dynamics import trajectory_csv
+from releq.cli import main
 
 import oracles
 from conftest import random_config
@@ -268,16 +270,25 @@ class TestDeviation:
             relative_equilibrium_deviation(cfg, prob, 1.0, samples=0)
 
 
-def test_trajectory_csv_layout(two_body):
+def test_trajectory_csv_layout(two_body, tmp_path, capsys):
+    # the integrate CSV has one row per (sample, body): t, body, q, v
     prob, cfg = two_body
-    traj = integrate(rigid_rotation_state(cfg, prob), prob, 1.0, 1e-8,
-                     sample_times=[0.0, 0.5, 1.0])
-    text = trajectory_csv(traj)
-    lines = text.strip().split("\n")
+    doc = tmp_path / "twobody.json"
+    save_document(doc, ProblemDocument(prob, cfg))
+    out = tmp_path / "traj.csv"
+    assert main(["integrate", str(doc), "--t-end", "1.0", "--samples", "2",
+                 "--tol", "1e-8", "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,body,q0,q1,v0,v1"
     assert len(lines) == 1 + 3 * 2
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and int(first[1]) == 0
+    traj = integrate(rigid_rotation_state(cfg, prob), prob, 1.0, 1e-8,
+                     sample_times=[0.0, 0.5, 1.0])
+    last = [float(x) for x in lines[-1].split(",")]
+    assert last == [traj.times[2], 1.0, *traj.positions[2, 1],
+                    *traj.velocities[2, 1]]
 
 
 def test_phase_state_collision_rejected():

@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from releq import Problem, SolveOptions, bound_probe, frequency_sweep
-from releq.probe import sweep_csv
+from releq import solver
+from releq import (
+    Problem,
+    ProblemDocument,
+    bound_probe,
+    frequency_sweep,
+    save_document,
+)
+from releq.cli import main
 
 import oracles
 
@@ -43,11 +50,12 @@ class TestBoundProbe:
         r2 = bound_probe(two_body_problem, 15, 2)
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
-    def test_no_convergence_reports_zero_classes(self, two_body_problem):
+    def test_no_convergence_reports_zero_classes(self, two_body_problem,
+                                                 monkeypatch):
         # with no iterations allowed no random seed converges; the report
         # must degrade gracefully
-        report = bound_probe(two_body_problem, 3, 0,
-                             opts=SolveOptions(max_iterations=0))
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
+        report = bound_probe(two_body_problem, 3, 0)
         assert report.classes_found == 0
         assert report.min_pairwise_distance is None
         assert report.max_point_norm is None
@@ -90,13 +98,25 @@ class TestFrequencySweep:
         with pytest.raises(ValueError):
             frequency_sweep(two_body_problem, [1.0, np.inf], 10, 1)
 
-    def test_csv_layout(self, two_body_problem):
+    def test_csv_layout(self, two_body_problem, tmp_path, capsys):
+        # the probe sweep CSV has one row per omega, in the library's order
         omegas = [1.0, 2.0]
         reports = frequency_sweep(two_body_problem, omegas, 10, 11)
-        text = sweep_csv(reports, omegas)
-        lines = text.strip().split("\n")
+        doc = tmp_path / "twobody.json"
+        save_document(doc, ProblemDocument(two_body_problem))
+        out = tmp_path / "sweep.csv"
+        assert main(["probe", str(doc), "--trials", "10", "--seed", "11",
+                     "--omegas", "1,2", "--format", "csv",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().strip().split("\n")
         assert lines[0] == "omega_scale,classes_found,c_hat,C_hat,trials,converged"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
         assert int(first[1]) == reports[0].classes_found
+        for line, report in zip(lines[1:], reports):
+            cells = line.split(",")
+            assert float(cells[2]) == report.min_pairwise_distance
+            assert float(cells[3]) == report.max_point_norm
+            assert int(cells[5]) == report.converged

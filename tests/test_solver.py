@@ -71,15 +71,6 @@ class TestSolveFromSeed:
         assert result.termination is Termination.STALLED
         assert result.residual_max < 1e-14
 
-    @pytest.mark.parametrize("damping_max", [np.nan, np.inf])
-    def test_non_finite_damping_max_rejected(self, two_body, damping_max):
-        # rejected steps grow the damping until it exceeds damping_max,
-        # which never happens for nan or inf
-        prob, cfg = two_body
-        opts = SolveOptions(tol_res=0.0, damping_max=damping_max)
-        with pytest.raises(ValueError, match="damping_max"):
-            solve_from_seed(cfg, prob, opts)
-
     @pytest.mark.parametrize("tol_res", [np.inf, np.nan, 0.0, -1.0])
     def test_unusable_tolerance_rejected(self, two_body, tol_res):
         # inf makes any seed converge; nan, 0 and below make every trial
@@ -91,10 +82,11 @@ class TestSolveFromSeed:
         with pytest.raises(ValueError, match="tol_res"):
             multistart_search(prob, 3, 0, opts)
 
-    def test_zero_iteration_budget(self, two_body):
+    def test_zero_iteration_budget(self, two_body, monkeypatch):
         prob, cfg = two_body
         off = Configuration(cfg.points * 1.5)
-        result = solve_from_seed(off, prob, SolveOptions(max_iterations=0))
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
+        result = solve_from_seed(off, prob)
         assert result.termination is Termination.MAX_ITERATIONS
         assert result.iterations == 0
 
@@ -166,23 +158,25 @@ class TestMultistart:
         with pytest.raises(ValueError):
             multistart_search(prob, 0, 1)
 
-    @pytest.mark.parametrize("n, k, a, trials, opts, termination", [
-        (3, 2, -1.5, 10, SolveOptions(), Termination.CONVERGED),
-        (5, 3, -1.5, 6, SolveOptions(max_iterations=5),
+    @pytest.mark.parametrize("n, k, a, trials, opts, constants, termination", [
+        (3, 2, -1.5, 10, SolveOptions(), {}, Termination.CONVERGED),
+        (5, 3, -1.5, 6, SolveOptions(), {"MAX_ITERATIONS": 5},
          Termination.MAX_ITERATIONS),
-        (4, 2, -1.5, 6,
-         SolveOptions(tol_res=np.finfo(float).tiny, max_iterations=60),
-         Termination.STALLED),
-        (7, 3, -2.5, 10, SolveOptions(guard_rel=0.1, max_collision_rejects=2),
+        (4, 2, -1.5, 6, SolveOptions(tol_res=np.finfo(float).tiny),
+         {"MAX_ITERATIONS": 60}, Termination.STALLED),
+        (7, 3, -2.5, 10, SolveOptions(),
+         {"GUARD_REL": 0.1, "MAX_COLLISION_REJECTS": 2},
          Termination.COLLISION_GUARD),
     ], ids=["converged", "max_iterations", "stalled", "collision_guard"])
     def test_trials_match_lone_solves(self, monkeypatch, n, k, a, trials,
-                                      opts, termination):
+                                      opts, constants, termination):
         # every trial of a rolling lock-step batch ends exactly where its
         # seed solved alone ends, whichever trials share the rounds with
         # it (4 slots here, refilled as trials stop); odd k is solved in
         # the even subspace, so its trials draw even seeds, and lone
         # solves get them lifted to z = 0
+        for name, value in constants.items():
+            monkeypatch.setattr(solver, name, value)
         prob = Problem(k, np.ones(n), np.ones(k // 2), a)
         even_k = k - k % 2
         even = Problem(even_k, prob.masses, prob.frequencies, a)
