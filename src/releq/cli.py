@@ -33,7 +33,6 @@ from .probe import bound_probe, frequency_sweep
 from .solver import (
     SolveOptions,
     continuation_in_exponent,
-    exponent_schedule,
     fingerprint,
     multistart_search,
     solve_from_seed,
@@ -207,18 +206,15 @@ def _cmd_continue(args):
         print(f"continue: starting solve failed "
               f"({start.termination.value})", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    schedule = exponent_schedule(problem.a, args.a_target, args.steps)
-    results = continuation_in_exponent(start, problem, args.a_target,
-                                       args.steps, opts)
-    rows = []
-    for a_value, result in zip(schedule, results):
-        rows.append({
-            "a": float(a_value),
-            **result.to_dict(),
-            "min_pairwise_distance": result.config.min_distance,
-            "max_point_norm": result.config.max_norm,
-        })
-    completed = sum(1 for r in results if r.converged)
+    steps = continuation_in_exponent(start, problem, args.a_target,
+                                     args.steps, opts)
+    rows = [{
+        "a": a_value,
+        **result.to_dict(),
+        "min_pairwise_distance": result.config.min_distance,
+        "max_point_norm": result.config.max_norm,
+    } for a_value, result in steps]
+    completed = sum(1 for _, result in steps if result.converged)
     print(f"continue: steps={args.steps} completed={completed} "
           f"final_a={rows[-1]['a']:.6g}")
     if args.format == "csv":
@@ -230,7 +226,7 @@ def _cmd_continue(args):
     else:
         _emit(args, _json_report({"a_target": args.a_target,
                                   "steps": args.steps, "rows": rows}))
-    return EXIT_OK if completed == len(schedule) else EXIT_VERIFY_FAILED
+    return EXIT_OK if completed == args.steps else EXIT_VERIFY_FAILED
 
 
 def _probe_csv(omegas, reports):

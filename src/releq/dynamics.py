@@ -80,14 +80,20 @@ def _guard_positions(positions, problem, time=None):
             f"positions shape {pos.shape} does not match problem "
             f"(n={problem.n}, k={problem.k})"
         )
+    _check_separation(pos, _kernels.min_pair_distance(pos), time)
+    return pos
+
+
+def _check_separation(pos, min_distance, time):
+    """Raise SingularityError if ``min_distance`` is below ``GUARD_RTOL``
+    times the scale max(1, max_i |q_i|) of ``pos``."""
     scale = max(1.0, float(np.sqrt(np.sum(pos ** 2, axis=1)).max()))
-    if _kernels.min_pair_distance(pos) < GUARD_RTOL * scale:
+    if min_distance < GUARD_RTOL * scale:
         if time is None:
             raise SingularityError("bodies too close: force evaluation aborted")
         raise SingularityError(
             f"near-collision at t={time:.6g}: integration aborted", time=time
         )
-    return pos
 
 
 def acceleration(positions, problem):
@@ -123,6 +129,7 @@ def conserved_quantities(state, problem):
 # ----------------------------------------------------------------------
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# the last row is also the 5th-order solution's weights (FSAL)
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -132,7 +139,6 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
-_DP_B = _DP_A[6]
 _DP_E = np.array([
     71 / 57600, 0.0, -71 / 16695, 71 / 1920,
     -17253 / 339200, 22 / 525, -1 / 40,
@@ -145,18 +151,23 @@ _PI_BETA = 0.04
 _PI_EXPO = 0.2 - 0.75 * _PI_BETA
 
 
+def _rms(q):
+    return np.sqrt(np.add.reduce(q * q) / q.size)
+
+
 def _scaled_err(err_vec, y, y_new, tol):
     sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+    return float(_rms(err_vec / sc))
 
 
-def _initial_step(rhs, t0, y0, f0, tol):
+def _initial_step(derivative, y0, f0, tol):
     sc = tol + tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / sc) ** 2))
-    d1 = np.sqrt(np.mean((f0 / sc) ** 2))
+    d0 = _rms(y0 / sc)
+    d1 = _rms(f0 / sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = rhs(y0 + h0 * f0)
-    d2 = np.sqrt(np.mean(((f1 - f0) / sc) ** 2)) / h0
+    f1 = np.empty_like(y0)
+    derivative(f1, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -217,41 +228,50 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     a = problem.a
     nk = n * k
 
-    def rhs(y):
-        pos = y[:nk].reshape(n, k)
-        acc = _kernels.accel(_kernels.as_input(pos), m, a)
-        out = np.empty(2 * nk)
+    def derivative(out, y):
+        """Write dy/dt at ``y`` into ``out``; return the pair r^2 at ``y``."""
+        diff, r2 = _kernels.pair_geometry(y[:nk].reshape(1, n, k))
         out[:nk] = y[nk:]
-        out[nk:] = acc.ravel()
-        return out
+        out[nk:] = _kernels.forces_from(diff, r2 ** a, m).ravel()
+        return r2
 
     y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
     t = t0
     _guard_positions(y[:nk].reshape(n, k), problem, time=t)
-    f = rhs(y)
-    h = min(_initial_step(rhs, t0, y, f, tol), t_end - t0)
+    # stages[0] is dy/dt at y; a rejected step leaves it untouched
+    stages = np.empty((7, 2 * nk))
+    derivative(stages[0], y)
+    h = min(_initial_step(derivative, y, stages[0], tol), t_end - t0)
     err_old = 1e-4
+    stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
+    stages_t = stages.T
+    # r^2 of an accepted state, guarded at the top of the next attempt
+    unguarded = None
 
     out_pos = np.empty((samples.size, n, k))
     out_vel = np.empty((samples.size, n, k))
-    stages = np.empty((7, 2 * nk))
 
     for s_idx, target in enumerate(samples):
         while t < target:
-            _guard_positions(y[:nk].reshape(n, k), problem, time=t)
+            if unguarded is not None:
+                _check_separation(
+                    y[:nk].reshape(n, k),
+                    float(_kernels.min_distance_from(unguarded)[0]), t,
+                )
+                unguarded = None
             h_step = min(h, target - t)
             # a NaN step (from a non-finite force) also underflows
             if not h_step >= 1e-14 * max(1.0, abs(t)):
                 raise SingularityError(
                     f"step size underflow at t={t:.6g}", time=t
                 )
-            stages[0] = f
             try:
-                for s in range(1, 7):
-                    y_s = y + h_step * (stages[:s].T @ _DP_A[s, :s])
-                    stages[s] = rhs(y_s)
-                y_new = y + h_step * (stages.T @ _DP_B)
-                err_vec = h_step * (stages.T @ _DP_E)
+                for s, (prev, coef) in enumerate(stage_rows, 1):
+                    y_new = y + h_step * (prev @ coef)
+                    r2_new = derivative(stages[s], y_new)
+                # FSAL: the last stage point is the new state, and its
+                # stage is dy/dt there
+                err_vec = h_step * (stages_t @ _DP_E)
                 err = _scaled_err(err_vec, y, y_new, tol)
             except FloatingPointError:
                 err = np.inf
@@ -261,7 +281,8 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
             if err <= 1.0:
                 t = t + h_step
                 y = y_new
-                f = stages[6]  # FSAL: last stage is rhs at the new state
+                stages[0] = stages[6]
+                unguarded = r2_new
                 fac = _SAFETY * err ** -_PI_EXPO * err_old ** _PI_BETA \
                     if err > 0.0 else _MAX_FACTOR
                 h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, fac))

@@ -558,21 +558,22 @@ def continuation_in_exponent(start, problem, a_target, steps, opts=None):
     """Re-solve along a geometric exponent schedule toward ``a_target``.
 
     ``start`` must be a converged SolveResult for ``problem``. Returns one
-    SolveResult per scheduled exponent (see ``exponent_schedule``); stops
-    early with the partial list if a step fails to converge.
+    (exponent, SolveResult) pair per scheduled exponent (see
+    ``exponent_schedule``); stops early with the partial list if a step
+    fails to converge.
     """
     if not start.converged:
         raise ValueError("continuation requires a converged starting result")
     schedule = exponent_schedule(problem.a, float(a_target), steps)
     opts = opts or SolveOptions()
-    results = []
+    steps_done = []
     config = start.config
     for a_value in schedule:
         stepped = solve_from_seed(config, problem.with_exponent(a_value), opts)
-        results.append(stepped)
+        steps_done.append((float(a_value), stepped))
         if not stepped.converged:
             log.debug("continuation stopped at a=%.6g (%s)",
                       a_value, stepped.termination.value)
             break
         config = stepped.config
-    return results
+    return steps_done

@@ -16,10 +16,23 @@ from releq import (
     rotation_matrix,
     save_document,
 )
+from releq import _kernels
 from releq.cli import main
 
 import oracles
 from conftest import random_config
+
+
+def eccentric_kepler():
+    """Two unit masses at a = -1.5 (Kepler, mu = 2) from separation 1 at
+    relative speed 0.6: e = 0.82, and steps near pericentre are rejected.
+
+    Returns the problem, the initial state and the orbital period.
+    """
+    prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
+    state = PhaseState([[0.5, 0.0], [-0.5, 0.0]], [[0.0, 0.3], [0.0, -0.3]])
+    semi_major = 1.0 / (2.0 - 0.6 ** 2 / 2.0)
+    return prob, state, 2 * np.pi * np.sqrt(semi_major ** 3 / 2.0)
 
 
 class TestAcceleration:
@@ -108,6 +121,48 @@ class TestIntegrate:
             integrate(state, prob, 10.0, 1e-10)
         assert err.value.time is not None
         assert 0.0 < err.value.time < 10.0
+
+    def test_head_on_collapse_hits_guard_at_collision_time(self):
+        # two unit masses at rest at a = -1 fall together at t = sqrt(pi)/2
+        prob = Problem(2, [1.0, 1.0], [1.0], -1.0)
+        state = PhaseState([[0.5, 0.0], [-0.5, 0.0]], np.zeros((2, 2)))
+        with pytest.raises(SingularityError, match="near-collision") as err:
+            integrate(state, prob, 10.0, 1e-10)
+        assert err.value.time == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-6)
+
+    def test_eccentric_orbit_returns_after_one_period(self):
+        # a retry after a rejected step must restart from dy/dt at the
+        # accepted state, not at the rejected point
+        prob, state, period = eccentric_kepler()
+        traj = integrate(state, prob, period, 1e-6, sample_times=[period])
+        assert np.abs(traj.positions[-1] - state.positions).max() < 1e-4
+
+    @pytest.mark.parametrize("case", ["trigon", "eccentric"])
+    def test_one_geometry_pass_per_force_evaluation(self, case, trigon,
+                                                    monkeypatch):
+        # each stage measures its point once, and an accepted state is
+        # guarded from its last stage's r^2; only the initial guard adds
+        # a pass, however many steps are rejected
+        if case == "trigon":
+            prob, cfg = trigon
+            state, t_end = rigid_rotation_state(cfg, prob), 2 * np.pi
+        else:
+            prob, state, t_end = eccentric_kepler()
+        calls = {"pair_geometry": 0, "forces_from": 0}
+
+        def counted(name):
+            kernel = getattr(_kernels, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(_kernels, name, counted(name))
+        integrate(state, prob, t_end, 1e-6)
+        assert calls["forces_from"] > 0
+        assert calls["pair_geometry"] == calls["forces_from"] + 1
 
     def test_energy_drift(self, two_body):
         prob, cfg = two_body

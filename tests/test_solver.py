@@ -425,7 +425,9 @@ class TestOddDimension:
         odd = continuation_in_exponent(odd_start, prob, -2.5, 6)
         even = continuation_in_exponent(even_start, twin, -2.5, 6)
         assert len(odd) == len(even) == 6
-        for mine, theirs in zip([odd_start] + odd, [even_start] + even):
+        assert [a for a, _ in odd] == [a for a, _ in even]
+        for mine, theirs in zip([odd_start] + [r for _, r in odd],
+                                [even_start] + [r for _, r in even]):
             assert mine.converged
             assert np.array_equal(mine.config.points,
                                   lifted(theirs.config.points, 3).points)
@@ -452,8 +454,8 @@ class TestContinuation:
         start = solve_from_seed(cfg, prob)
         schedule = exponent_schedule(prob.a, -1.0, 10)
         results = continuation_in_exponent(start, prob, -1.0, 10)
-        assert len(results) == 10
-        for a_val, res in zip(schedule, results):
+        assert [a_val for a_val, _ in results] == schedule.tolist()
+        for a_val, res in results:
             assert res.converged
             sep = np.linalg.norm(res.config.points[0] - res.config.points[1])
             exact = oracles.two_body_separation(1.0, 1.0, 1.0, a_val)
@@ -464,8 +466,8 @@ class TestContinuation:
         start = solve_from_seed(cfg, prob)
         schedule = exponent_schedule(prob.a, -2.5, 8)
         results = continuation_in_exponent(start, prob, -2.5, 8)
-        assert len(results) == 8
-        for a_val, res in zip(schedule, results):
+        assert [a_val for a_val, _ in results] == schedule.tolist()
+        for a_val, res in results:
             assert res.converged
             radius = np.sqrt((res.config.points ** 2).sum(axis=1)).max()
             exact = oracles.ngon_circumradius(3, 1.0, 1.0, a_val)
