@@ -89,16 +89,12 @@ def _horizon(problem, t_end):
 
 
 def _solve_options(args):
-    opts = SolveOptions()
-    if getattr(args, "tol", None) is not None:
-        opts.tol_res = args.tol
-    if args.damping_init is not None:
-        opts.damping_init = args.damping_init
-    if args.damping_grow is not None:
-        opts.damping_grow = args.damping_grow
-    if args.damping_shrink is not None:
-        opts.damping_shrink = args.damping_shrink
-    return opts
+    """The SolveOptions of the solver flags given; the others keep defaults."""
+    given = {"tol_res": args.tol, "damping_init": args.damping_init,
+             "damping_grow": args.damping_grow,
+             "damping_shrink": args.damping_shrink}
+    return SolveOptions(**{name: value for name, value in given.items()
+                           if value is not None})
 
 
 # ----------------------------------------------------------------------
@@ -407,9 +403,6 @@ def main(argv=None):
         # and the one error line, not as numpy warnings
         with np.errstate(all="ignore"):
             return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -99,7 +99,7 @@ def residual_scale_batch(points, r2, problem):
     # the inf diagonal gives 0 there, as 2a + 1 < 0
     heavier = np.maximum.outer(problem.masses, problem.masses)
     force_terms = heavier * np.sqrt(r2) ** (2.0 * problem.a + 1.0)
-    rot_terms = np.abs(points * problem.asq).sum(axis=-1)
+    rot_terms = np.sqrt(np.sum((points * problem.asq) ** 2, axis=-1))
     return np.maximum(1.0, np.max([norms.max(axis=-1),
                                    force_terms.max(axis=(1, 2)),
                                    rot_terms.max(axis=-1)], axis=0))

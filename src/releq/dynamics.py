@@ -80,15 +80,16 @@ def _guard_positions(positions, problem, time=None):
             f"positions shape {pos.shape} does not match problem "
             f"(n={problem.n}, k={problem.k})"
         )
-    _check_separation(pos, _kernels.min_pair_distance(pos), time)
+    _check_separation(pos, _kernels.pair_geometry(pos[None])[1], time)
     return pos
 
 
-def _check_separation(pos, min_distance, time):
-    """Raise SingularityError if ``min_distance`` is below ``GUARD_RTOL``
-    times the scale max(1, max_i |q_i|) of ``pos``."""
+def _check_separation(pos, r2, time):
+    """Raise SingularityError if the minimum distance of ``pos``, whose
+    pair r^2 is the stack of one ``r2``, is below ``GUARD_RTOL`` times
+    the scale max(1, max_i |q_i|)."""
     scale = max(1.0, float(np.sqrt(np.sum(pos ** 2, axis=1)).max()))
-    if min_distance < GUARD_RTOL * scale:
+    if _kernels.min_distance_from(r2)[0] < GUARD_RTOL * scale:
         if time is None:
             raise SingularityError("bodies too close: force evaluation aborted")
         raise SingularityError(
@@ -237,28 +238,19 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
 
     y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
     t = t0
-    _guard_positions(y[:nk].reshape(n, k), problem, time=t)
     # stages[0] is dy/dt at y; a rejected step leaves it untouched
     stages = np.empty((7, 2 * nk))
-    derivative(stages[0], y)
+    _check_separation(initial.positions, derivative(stages[0], y), t)
     h = min(_initial_step(derivative, y, stages[0], tol), t_end - t0)
     err_old = 1e-4
     stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
     stages_t = stages.T
-    # r^2 of an accepted state, guarded at the top of the next attempt
-    unguarded = None
 
     out_pos = np.empty((samples.size, n, k))
     out_vel = np.empty((samples.size, n, k))
 
     for s_idx, target in enumerate(samples):
         while t < target:
-            if unguarded is not None:
-                _check_separation(
-                    y[:nk].reshape(n, k),
-                    float(_kernels.min_distance_from(unguarded)[0]), t,
-                )
-                unguarded = None
             h_step = min(h, target - t)
             # a NaN step (from a non-finite force) also underflows
             if not h_step >= 1e-14 * max(1.0, abs(t)):
@@ -282,13 +274,13 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
                 t = t + h_step
                 y = y_new
                 stages[0] = stages[6]
-                unguarded = r2_new
                 fac = _SAFETY * err ** -_PI_EXPO * err_old ** _PI_BETA \
                     if err > 0.0 else _MAX_FACTOR
                 h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
                 err_old = max(err, 1e-4)
                 if target - t < 1e-14 * max(1.0, abs(target)):
                     t = target
+                _check_separation(y[:nk].reshape(n, k), r2_new, t)
             else:
                 h = h_step * max(_MIN_FACTOR, _SAFETY * err ** -_PI_EXPO)
         out_pos[s_idx] = y[:nk].reshape(n, k)

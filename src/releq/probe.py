@@ -76,8 +76,6 @@ def _problem_summary(problem):
 def bound_probe(problem, trials, rng_seed, opts=None):
     """Search for equilibria and report the global separation/extent bounds."""
     trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     classes = multistart_search(problem, trials, rng_seed, opts=opts)
 
     per_class = [

@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,18 +84,31 @@ class Termination(enum.Enum):
     MAX_ITERATIONS = "max_iterations"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
-    """Tunables of the damped least-squares iteration.
+    """Tunables of the damped least-squares iteration, checked once here.
 
     tol_res is relative: convergence means max_norm <= tol_res * scale
-    with the scale from ``criterion.residual_scale``.
+    with the scale from ``criterion.residual_scale``. Damping settings
+    under which rejected steps repeat forever, and tolerances that no
+    trial (nan, <= 0) or every trial (inf) meets, are rejected.
     """
 
     tol_res: float = 1e-12
     damping_init: float = 1e-3
     damping_grow: float = 10.0
     damping_shrink: float = 0.5
+
+    def __post_init__(self):
+        init, grow, tol = self.damping_init, self.damping_grow, self.tol_res
+        if not init > 0.0:
+            raise ValueError(f"damping_init must be > 0, got {init}")
+        if not grow > 1.0:
+            raise ValueError(f"damping_grow must be > 1, got {grow}")
+        if np.isnan(self.damping_shrink):
+            raise ValueError("damping_shrink must not be nan")
+        if not (np.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol_res must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,19 +239,6 @@ def sample_seed(problem, rng):
     raise RuntimeError("failed to draw a collision-free seed")
 
 
-def _check_options(opts):
-    """Reject damping settings under which rejected steps repeat forever,
-    and tolerances that no trial (nan, <= 0) or every trial (inf) meets."""
-    if not opts.damping_init > 0.0:
-        raise ValueError(f"damping_init must be > 0, got {opts.damping_init}")
-    if not opts.damping_grow > 1.0:
-        raise ValueError(f"damping_grow must be > 1, got {opts.damping_grow}")
-    if np.isnan(opts.damping_shrink):
-        raise ValueError("damping_shrink must not be nan")
-    if not (np.isfinite(opts.tol_res) and opts.tol_res > 0.0):
-        raise ValueError(f"tol_res must be finite and > 0, got {opts.tol_res}")
-
-
 def _even_problem(problem):
     """The even-dimensional problem whose lifted equilibria are problem's."""
     if problem.k % 2 == 0:
@@ -254,9 +254,7 @@ def _lifted(result, k):
         return result
     points = np.zeros((n, k))
     points[:, :k_even] = result.config.points
-    return SolveResult(Configuration(points), result.residual_max,
-                       result.iterations, result.termination,
-                       result.residual_history)
+    return replace(result, config=Configuration(points))
 
 
 def _damped_steps(lhs, rhs):
@@ -461,7 +459,6 @@ def solve_from_seed(seed, problem, opts=None):
     """
     check_problem_config(problem, seed)
     opts = opts or SolveOptions()
-    _check_options(opts)
     even = _even_problem(problem)
     try:
         start = seed if even is problem else Configuration(seed.points[:, :-1])
@@ -508,34 +505,26 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     opts = opts or SolveOptions()
-    _check_options(opts)
     even = _even_problem(problem)
 
-    classes = []
-    dropped = 0
+    found = []    # [canonical result, fingerprint, hits] per class
     for result in _trial_results(even, trials, rng_seed, opts):
         if not result.converged:
-            dropped += 1
             continue
         canonical = canonicalize(result.config, even)
-        canonical_result = SolveResult(
-            canonical, result.residual_max, result.iterations,
-            result.termination, result.residual_history,
-        )
         fp = fingerprint(canonical, even)
-        for idx, known in enumerate(classes):
-            if known.fingerprint.matches(fp):
-                classes[idx] = SearchClass(known.result, known.fingerprint,
-                                           known.hits + 1)
+        for known in found:
+            if known[1].matches(fp):
+                known[2] += 1
                 break
         else:
-            classes.append(SearchClass(canonical_result, fp, 1))
+            found.append([replace(result, config=canonical), fp, 1])
+    dropped = trials - sum(hits for _, _, hits in found)
     if dropped:
         log.debug("multistart: %d of %d trials dropped (unconverged)",
                   dropped, trials)
-    return [SearchClass(_lifted(cls.result, problem.k), cls.fingerprint,
-                        cls.hits)
-            for cls in classes]
+    return [SearchClass(_lifted(result, problem.k), fp, hits)
+            for result, fp, hits in found]
 
 
 def exponent_schedule(a_start, a_target, steps):

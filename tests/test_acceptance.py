@@ -179,11 +179,13 @@ def test_criterion_3_lemma_identity():
 @criterion(4, "dynamic verification", 30.0)
 def test_criterion_4_rigid_rotation_dynamics():
     # NOTE: the 12-gon at a = -2 is known to fail the deviation bound.
-    # That ring is dynamically unstable with rate ~4.8, so float64
-    # initial data (defect ~1e-14, the representation limit) is amplified
-    # by e^(4.8 * 2 pi) ~ 1e13 over one period: the measured deviation
-    # ~2e-3 is tolerance-independent and no double-precision integration
-    # can meet 1e-6 there. The bound is asserted as stated regardless.
+    # That ring is dynamically unstable with rate 4.909 (the largest real
+    # part of the rotating-frame linearization [[0, I], [J, -2 I(x)G]]),
+    # so float64 initial data (defect ~1e-14, the representation limit)
+    # is amplified by e^(4.909 * 2 pi) ~ 2.5e13 over one period: the
+    # measured deviation ~2e-3 is tolerance-independent and no
+    # double-precision integration can meet 1e-6 there. The bound is
+    # asserted as stated regardless.
     cases = [(two_body_problem(),
               Configuration(oracles.two_body_points(1.0, 1.0, 1.0, -1.5)))]
     cases += [ngon_case(n, a) for n in NGON_SIZES for a in NGON_EXPONENTS]

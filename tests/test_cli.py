@@ -386,6 +386,20 @@ def test_unusable_tolerance_rejected(command, tol, two_body_doc, capsys):
     assert len(errors) == 1 and "tol_res" in errors[0]
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--trials", "0"],
+    ["probe", "--trials", "0"],
+    ["probe", "--omegas", "-1"],
+])
+def test_bad_solver_flag_is_reported_first(command, two_body_doc, capsys):
+    # the options are checked once, when they are built from the flags,
+    # before any other value reaches the library
+    assert main([command[0], str(two_body_doc), *command[1:],
+                 "--damping-init", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: damping_init must be > 0, got 0.0\n"
+
+
 def test_parser_is_built_once(monkeypatch, two_body_doc, capsys):
     builds = []
     build_parser = cli.build_parser

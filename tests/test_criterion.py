@@ -319,6 +319,31 @@ class TestResidualScale:
         prob, cfg = two_body
         assert residual_scale(cfg, prob) >= 1.0
 
+    def test_two_body_rate_term_is_euclidean(self):
+        # |Asq Q_i| = 4 for a unit pair at rate 2, also rotated by 45 deg
+        prob = Problem(2, [1.0, 1.0], [2.0], -1.5)
+        for pts in ([[1.0, 0.0], [-1.0, 0.0]],
+                    np.sqrt(0.5) * np.array([[1.0, 1.0], [-1.0, -1.0]])):
+            assert residual_scale(Configuration(pts), prob) == \
+                pytest.approx(4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("k,rates,pts", [
+        (2, [2.0], [[1.0, 0.0], [-0.4, 0.9], [0.2, -1.3]]),
+        (4, [2.0, 3.0], [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.5, 0.0],
+                         [-1.0, 0.5, 0.0, -1.0], [0.3, -1.2, 0.4, 0.9]]),
+    ], ids=["k2", "k4"])
+    def test_invariant_under_block_rotation(self, k, rates, pts):
+        # the rate term dominates these scales
+        prob = Problem(k, [1.0] * len(pts), rates, -1.5)
+        cfg = Configuration(pts)
+        scale = residual_scale(cfg, prob)
+        assert scale > 4.0
+        for t in (0.3, 0.7, 2.0):
+            rot = rotation_matrix(rates, t, k)
+            turned = Configuration(cfg.points @ rot.T)
+            assert residual_scale(turned, prob) == \
+                pytest.approx(scale, rel=1e-15)
+
     def test_tracks_force_terms_for_tight_pairs(self):
         # with a tight pair the r^(2a+1) term dominates the scale
         prob = Problem(2, [1.0, 1.0], [1.0], -1.5)

@@ -130,6 +130,26 @@ class TestIntegrate:
             integrate(state, prob, 10.0, 1e-10)
         assert err.value.time == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-6)
 
+    @pytest.mark.parametrize("early,raises", [(1.22e-10, True),
+                                              (1.35e-10, False)])
+    def test_last_state_is_guarded(self, early, raises):
+        # the head-on pair is 9.08e-10 apart at sqrt(pi)/2 - 1.22e-10,
+        # under the 1e-9 guard, and 1.02e-9 apart at sqrt(pi)/2 - 1.35e-10
+        prob = Problem(2, [1.0, 1.0], [1.0], -1.0)
+        state = PhaseState([[0.5, 0.0], [-0.5, 0.0]], np.zeros((2, 2)))
+        t_end = np.sqrt(np.pi) / 2 - early
+        if raises:
+            with pytest.raises(SingularityError,
+                               match="near-collision") as err:
+                integrate(state, prob, t_end, 1e-10,
+                          sample_times=[0.0, t_end])
+            assert err.value.time == t_end
+        else:
+            traj = integrate(state, prob, t_end, 1e-10,
+                             sample_times=[0.0, t_end])
+            gap = traj.positions[-1, 0] - traj.positions[-1, 1]
+            assert 1e-9 < np.hypot(*gap) < 1.1e-9
+
     def test_eccentric_orbit_returns_after_one_period(self):
         # a retry after a rejected step must restart from dy/dt at the
         # accepted state, not at the rejected point
@@ -140,9 +160,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("case", ["trigon", "eccentric"])
     def test_one_geometry_pass_per_force_evaluation(self, case, trigon,
                                                     monkeypatch):
-        # each stage measures its point once, and an accepted state is
-        # guarded from its last stage's r^2; only the initial guard adds
-        # a pass, however many steps are rejected
+        # each stage measures its point once, and every state is guarded
+        # from its own stage's r^2: the initial state from stage 0, an
+        # accepted one from its last stage, however many steps are rejected
         if case == "trigon":
             prob, cfg = trigon
             state, t_end = rigid_rotation_state(cfg, prob), 2 * np.pi
@@ -162,7 +182,7 @@ class TestIntegrate:
             monkeypatch.setattr(_kernels, name, counted(name))
         integrate(state, prob, t_end, 1e-6)
         assert calls["forces_from"] > 0
-        assert calls["pair_geometry"] == calls["forces_from"] + 1
+        assert calls["pair_geometry"] == calls["forces_from"]
 
     def test_energy_drift(self, two_body):
         prob, cfg = two_body

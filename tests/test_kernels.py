@@ -55,7 +55,7 @@ def _masked_scale_reference(points, problem):
     heavier = np.maximum.outer(problem.masses, problem.masses)
     force_terms = heavier * dist ** (2.0 * problem.a + 1.0)
     force_terms[:, idx, idx] = 0.0
-    rot_terms = np.abs(points * problem.asq).sum(axis=-1)
+    rot_terms = np.sqrt(np.sum((points * problem.asq) ** 2, axis=-1))
     return np.maximum(1.0, np.max([norms.max(axis=-1),
                                    force_terms.max(axis=(1, 2)),
                                    rot_terms.max(axis=-1)], axis=0))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,28 @@ from releq import (
 
 import oracles
 from conftest import random_config
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("name,value,message", [
+        ("damping_init", 0.0, "damping_init must be > 0, got 0.0"),
+        ("damping_init", -1e-3, "damping_init must be > 0, got -0.001"),
+        ("damping_grow", 1.0, "damping_grow must be > 1, got 1.0"),
+        ("damping_grow", 0.5, "damping_grow must be > 1, got 0.5"),
+        ("damping_shrink", np.nan, "damping_shrink must not be nan"),
+    ])
+    def test_unusable_damping_rejected_at_construction(self, name, value,
+                                                       message):
+        # rejected steps would repeat forever without growing the damping
+        with pytest.raises(ValueError) as info:
+            SolveOptions(**{name: value})
+        assert str(info.value) == message
+
+    def test_fields_cannot_be_assigned(self):
+        opts = SolveOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.damping_init = 0.0
+        assert opts == SolveOptions()
 
 
 class TestSolveFromSeed:
@@ -72,15 +96,13 @@ class TestSolveFromSeed:
         assert result.residual_max < 1e-14
 
     @pytest.mark.parametrize("tol_res", [np.inf, np.nan, 0.0, -1.0])
-    def test_unusable_tolerance_rejected(self, two_body, tol_res):
+    def test_unusable_tolerance_rejected(self, tol_res):
         # inf makes any seed converge; nan, 0 and below make every trial
         # fail
-        prob, cfg = two_body
-        opts = SolveOptions(tol_res=tol_res)
-        with pytest.raises(ValueError, match="tol_res"):
-            solve_from_seed(cfg, prob, opts)
-        with pytest.raises(ValueError, match="tol_res"):
-            multistart_search(prob, 3, 0, opts)
+        with pytest.raises(ValueError) as info:
+            SolveOptions(tol_res=tol_res)
+        assert str(info.value) == \
+            f"tol_res must be finite and > 0, got {tol_res}"
 
     def test_zero_iteration_budget(self, two_body, monkeypatch):
         prob, cfg = two_body

@@ -1,0 +1,140 @@
+"""Hash every report of a fixed matrix of ``releq`` command lines.
+
+Runs each command line through ``releq.cli.main`` in this process and
+prints one line per run:
+
+    <exit code> <stdout sha256> <stderr sha256> <--out sha256> <command line>
+
+Hashes are the first 16 hex digits of the sha256; a run that leaves no
+``--out`` file shows ``-``. The temporary directory holding the
+documents and reports is masked as ``<tmp>`` before hashing, so two
+checkouts give comparable lines. Run it in each checkout and diff the
+outputs to see which reports a change moves:
+
+    PYTHONPATH=src python3 tools/cli_hashes.py > hashes.txt
+
+Float bits depend on the platform and the numpy build, so compare runs
+made on one machine only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+from releq import cli
+
+
+def _ngon(count, radius):
+    return [[radius * math.cos(2 * math.pi * i / count),
+             radius * math.sin(2 * math.pi * i / count)]
+            for i in range(count)]
+
+
+def _documents():
+    """name -> document dict: valid, problem-only and rejected inputs."""
+    def doc(k, a, masses, rates, positions=None):
+        raw = {"schema_version": "1", "dimension": k, "exponent": a,
+               "masses": masses, "frequencies": rates}
+        if positions is not None:
+            raw["positions"] = positions
+        return raw
+
+    # equal unit masses at rate 1: the pair's separation d has
+    # d^(2a) = 1/2, the equilateral triangle's side r has r^(2a) = 1/3
+    half = 0.5 ** (1 / -3.0) / 2
+    trigon = _ngon(3, 3 ** (1 / 3.0) / math.sqrt(3))
+    return {
+        "two": doc(2, -1.5, [1.0, 1.0], [1.0], [[half, 0.0], [-half, 0.0]]),
+        "trigon": doc(2, -1.5, [1.0, 1.0, 1.0], [1.0], trigon),
+        "odd-k": doc(3, -1.5, [1.0, 1.0, 1.0], [1.0],
+                     [[x, y, 0.0] for x, y in trigon]),
+        "k4": doc(4, -1.5, [1.0, 2.0, 1.0, 0.5], [1.0, 1.5],
+                  [[1.0, 0.0, 0.0, 0.3], [0.0, 1.0, 0.2, 0.0],
+                   [-1.0, 0.1, 0.0, -0.3], [0.0, -1.0, -0.2, 0.1]]),
+        "overflow": doc(2, -200.0, [1.0, 1.0, 1.0], [1.0],
+                        [[-0.01, 0.0], [0.0, 0.0], [0.01, 0.0]]),
+        "positionless": doc(2, -1.5, [1.0, 1.0, 1.0], [1.0]),
+        "colliding": doc(2, -1.5, [1.0, 1.0], [1.0],
+                         [[0.5, 0.0], [0.5, 0.0]]),
+        "bad-mass": doc(2, -1.5, [1.0, -1.0], [1.0],
+                        [[0.5, 0.0], [-0.5, 0.0]]),
+    }
+
+
+SOLVER_FLAGS = {
+    "default": [],
+    "tight": ["--tol", "1e-14", "--damping-init", "1e-2",
+              "--damping-grow", "4", "--damping-shrink", "0.25"],
+    "invalid": ["--damping-init", "0"],
+}
+
+
+def _command_lines(path):
+    """Every command line run on the document at ``path``."""
+    lines = [["verify", path], ["verify", path, "--samples", "4"],
+             ["integrate", path, "--samples", "4"],
+             ["integrate", path, "--samples", "4", "--format", "csv"]]
+    for flags in SOLVER_FLAGS.values():
+        lines.append(["solve", path, *flags])
+        for fmt in ("json", "csv"):
+            tail = [*flags, "--format", fmt]
+            lines.append(["search", path, "--trials", "12", "--seed", "3",
+                          *tail])
+            lines.append(["continue", path, "--a-target", "-1.2",
+                          "--steps", "2", *tail])
+            lines.append(["probe", path, "--trials", "12", "--seed", "3",
+                          *tail])
+            lines.append(["probe", path, "--trials", "6", "--seed", "3",
+                          "--omegas", "0.5,2", *tail])
+    # a bad solver flag together with another bad value
+    lines += [["search", path, "--trials", "0", "--damping-init", "0"],
+              ["probe", path, "--trials", "0", "--damping-grow", "1"],
+              ["probe", path, "--omegas", "-1", "--damping-init", "0"],
+              ["continue", path, "--a-target", "0", "--tol", "nan"]]
+    return lines
+
+
+def _digest(data, tmp):
+    if data is None:
+        return "-"
+    text = data.replace(tmp, "<tmp>")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _run(argv, tmp, out_path):
+    if os.path.exists(out_path):
+        os.unlink(out_path)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    report = None
+    if os.path.exists(out_path):
+        with open(out_path, encoding="utf-8") as handle:
+            report = handle.read()
+    shown = " ".join(argv).replace(tmp, "<tmp>")
+    return (f"{code} {_digest(stdout.getvalue(), tmp)} "
+            f"{_digest(stderr.getvalue(), tmp)} {_digest(report, tmp)} "
+            f"{shown}")
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "report.out")
+        for name, raw in _documents().items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(raw, handle)
+            for argv in _command_lines(path):
+                for extra in ([], ["--out", out_path]):
+                    print(_run(argv + extra, tmp, out_path), flush=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
