@@ -44,7 +44,7 @@ from .model import (
     rotation_generator,
     rotation_matrix,
 )
-from .probe import ClassStats, ProbeReport, bound_probe, frequency_sweep
+from .probe import ProbeReport, bound_probe, frequency_sweep
 from .solver import (
     EquilibriumFingerprint,
     SolveOptions,
@@ -63,7 +63,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassStats",
     "ClusterDiagnostics",
     "Configuration",
     "ConservedQuantities",

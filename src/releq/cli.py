@@ -29,7 +29,7 @@ from .dynamics import (
     rigid_rotation_trajectory,
 )
 from .errors import DocumentError, SingularityError
-from .probe import bound_probe, frequency_sweep
+from .probe import frequency_sweep
 from .solver import (
     SolveOptions,
     continuation_in_exponent,
@@ -102,6 +102,8 @@ def _solve_options(args):
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args):
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {args.tol}")
     doc = load_document(args.input)
     problem = doc.problem
     config = _need_positions(doc)
@@ -146,24 +148,6 @@ def _cmd_solve(args):
     return EXIT_OK if result.converged else EXIT_VERIFY_FAILED
 
 
-def _search_payload(classes, args):
-    converged = sum(cls.hits for cls in classes)
-    return {
-        "trials": args.trials,
-        "rng_seed": args.seed,
-        "converged": converged,
-        "dropped": args.trials - converged,
-        "classes": [
-            {
-                **cls.result.to_dict(),
-                "fingerprint": cls.fingerprint.to_dict(),
-                "hits": cls.hits,
-            }
-            for cls in classes
-        ],
-    }
-
-
 def _search_csv(classes):
     header = ["class", "hits", "iterations", "residual_max"]
     if classes:
@@ -188,7 +172,15 @@ def _cmd_search(args):
     if args.format == "csv":
         _emit(args, _search_csv(classes))
     else:
-        _emit(args, _json_report(_search_payload(classes, args)))
+        _emit(args, _json_report({
+            "trials": args.trials,
+            "rng_seed": args.seed,
+            "converged": converged,
+            "dropped": args.trials - converged,
+            "classes": [{**cls.result.to_dict(),
+                         "fingerprint": cls.fingerprint.to_dict(),
+                         "hits": cls.hits} for cls in classes],
+        }))
     return EXIT_OK
 
 
@@ -237,31 +229,27 @@ def _cmd_probe(args):
     doc = load_document(args.input)
     problem = doc.problem
     opts = _solve_options(args)
+    omegas = ([float(w) for w in args.omegas.split(",") if w.strip()]
+              if args.omegas else [1.0])
+    reports = frequency_sweep(problem, omegas, args.trials, args.seed,
+                              opts=opts)
     if args.omegas:
-        omegas = [float(w) for w in args.omegas.split(",") if w.strip()]
-        reports = frequency_sweep(problem, omegas, args.trials, args.seed,
-                                  opts=opts)
         found = sum(r.classes_found for r in reports)
         print(f"probe: sweep omegas={len(omegas)} total_classes={found}")
-        if args.format == "csv":
-            _emit(args, _probe_csv(omegas, reports))
-        else:
-            _emit(args, _json_report({
-                "omegas": omegas,
-                "reports": [r.to_dict() for r in reports],
-            }))
-        return EXIT_OK
-    report = bound_probe(problem, args.trials, args.seed, opts=opts)
-    c_hat = report.min_pairwise_distance
-    big_c = report.max_point_norm
-    print(f"probe: classes={report.classes_found} "
-          f"c_hat={'n/a' if c_hat is None else f'{c_hat:.9g}'} "
-          f"C_hat={'n/a' if big_c is None else f'{big_c:.9g}'} "
-          f"converged={report.converged}/{report.trials}")
-    if args.format == "csv":
-        _emit(args, _probe_csv([1.0], [report]))
+        payload = {"omegas": omegas,
+                   "reports": [r.to_dict() for r in reports]}
     else:
-        _emit(args, _json_report(report.to_dict()))
+        report, = reports
+        payload = report.to_dict()
+        c_hat, big_c = report.min_pairwise_distance, report.max_point_norm
+        print(f"probe: classes={report.classes_found} "
+              f"c_hat={'n/a' if c_hat is None else f'{c_hat:.9g}'} "
+              f"C_hat={'n/a' if big_c is None else f'{big_c:.9g}'} "
+              f"converged={report.converged}/{report.trials}")
+    if args.format == "csv":
+        _emit(args, _probe_csv(omegas, reports))
+    else:
+        _emit(args, _json_report(payload))
     return EXIT_OK
 
 

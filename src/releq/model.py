@@ -112,11 +112,12 @@ class Configuration:
 
     Construction rejects configurations with any pair closer than
     COLLISION_RTOL relative to the configuration size, and keeps the
-    minimum pairwise distance it measured.
+    minimum pairwise distance and maximum point norm it measured.
     """
 
     points: np.ndarray
     min_distance: float = field(init=False, repr=False)
+    max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         points = _frozen_array(self.points)
@@ -125,12 +126,14 @@ class Configuration:
         if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", points)
+        max_norm = float(np.sqrt(np.sum(points ** 2, axis=1)).max())
         min_dist = _kernels.min_pair_distance(_kernels.as_input(points))
-        if not min_dist > collision_threshold(self.max_norm):
+        if not min_dist > collision_threshold(max_norm):
             raise ValueError(
                 f"colliding configuration: min pairwise distance {min_dist:.3e}"
             )
         object.__setattr__(self, "min_distance", min_dist)
+        object.__setattr__(self, "max_norm", max_norm)
 
     @property
     def n(self):
@@ -139,10 +142,6 @@ class Configuration:
     @property
     def k(self):
         return self.points.shape[1]
-
-    @property
-    def max_norm(self):
-        return float(np.sqrt(np.sum(self.points ** 2, axis=1)).max())
 
 
 def _check_frequency_dims(frequencies, k):

@@ -78,6 +78,27 @@ class TestVerify:
         assert main(["verify", str(problem_only_doc)]) == 2
         assert "positions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_tol_must_be_usable(self, tol, tmp_path, capsys):
+        # two unit masses at (+-3, 0) are far from balance (residual ~3):
+        # --tol inf passed them and nan or -1 failed every input, while
+        # 0 stays allowed as a test for an exact zero
+        far = tmp_path / "far.json"
+        save_document(far, ProblemDocument(
+            Problem(2, [1.0, 1.0], [1.0], -1.5),
+            Configuration([[3.0, 0.0], [-3.0, 0.0]])))
+        code = main(["verify", str(far), "--tol", tol, "--t-end", "0.5"])
+        captured = capsys.readouterr()
+        if tol == "0":
+            assert code == 1
+            assert captured.out.startswith("verify: FAIL residual_max=")
+            assert captured.err == ""
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == \
+                f"error: tol must be finite and >= 0, got {float(tol)}\n"
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 3
 
@@ -253,6 +274,25 @@ class TestProbe:
             "omega_scale,classes_found,c_hat,C_hat,trials,converged\n"
             "1.0,0,,,3,0\n")
 
+    def test_single_probe_is_unit_sweep(self, problem_only_doc, tmp_path,
+                                        capsys):
+        # probe without --omegas is the sweep at omega = 1: the same
+        # report, and the same CSV bytes
+        args = ["probe", str(problem_only_doc), "--trials", "20",
+                "--seed", "4"]
+        out = {}
+        for name, extra in (("single", []), ("sweep", ["--omegas", "1"])):
+            for fmt in ("json", "csv"):
+                path = tmp_path / f"{name}.{fmt}"
+                assert main(args + extra + ["--format", fmt,
+                                            "--out", str(path)]) == 0
+                out[name, fmt] = path.read_text()
+        capsys.readouterr()
+        sweep = json.loads(out["sweep", "json"])
+        assert sweep["omegas"] == [1.0]
+        assert json.loads(out["single", "json"]) == sweep["reports"][0]
+        assert out["single", "csv"] == out["sweep", "csv"]
+
     def test_probe_byte_identical(self, problem_only_doc, tmp_path):
         out1 = tmp_path / "p1.json"
         out2 = tmp_path / "p2.json"
@@ -390,6 +430,7 @@ def test_unusable_tolerance_rejected(command, tol, two_body_doc, capsys):
     ["search", "--trials", "0"],
     ["probe", "--trials", "0"],
     ["probe", "--omegas", "-1"],
+    ["probe", "--omegas", "abc"],
 ])
 def test_bad_solver_flag_is_reported_first(command, two_body_doc, capsys):
     # the options are checked once, when they are built from the flags,

@@ -59,7 +59,7 @@ class TestBoundProbe:
         assert report.classes_found == 0
         assert report.min_pairwise_distance is None
         assert report.max_point_norm is None
-        assert report.per_class == ()
+        assert report.classes == ()
         assert report.converged == 0
         assert report.dropped == 3
 
@@ -73,10 +73,34 @@ class TestBoundProbe:
         report = bound_probe(prob, 60, 9)
         assert report.classes_found >= 2
         assert report.min_pairwise_distance == min(
-            s.min_pairwise_distance for s in report.per_class)
+            cls.result.config.min_distance for cls in report.classes)
         assert report.max_point_norm == max(
-            s.max_point_norm for s in report.per_class)
-        assert report.converged == sum(s.hits for s in report.per_class)
+            cls.result.config.max_norm for cls in report.classes)
+        assert report.converged == sum(cls.hits for cls in report.classes)
+
+    @pytest.mark.parametrize("k,n,a,rates", [
+        (2, 6, -0.75, [1.0]),
+        (3, 5, -1.5, [1.0]),
+        (4, 6, -1.5, [1.0, 2.0]),
+    ], ids=["n6-a-0.75", "odd-k", "two-rates"])
+    def test_rate_scaling_law_class_by_class(self, k, n, a, rates):
+        # Q balances at rates w*A exactly when w^(1/a) Q balances at A,
+        # so the probe at scaled rates finds every class scaled by w^(1/a)
+        problem = Problem(k, np.linspace(0.5, 2.0, n), rates, a)
+        base = bound_probe(problem, 30, 3)
+        assert base.classes_found >= 1
+        for omega in (0.5, 2.0):
+            scaled = bound_probe(
+                problem.with_frequencies(problem.frequencies * omega), 30, 3)
+            lam = omega ** (1.0 / a)
+            assert scaled.classes_found == base.classes_found
+            assert ([cls.hits for cls in scaled.classes]
+                    == [cls.hits for cls in base.classes])
+            for cls, ref in zip(scaled.classes, base.classes):
+                assert cls.result.config.min_distance == pytest.approx(
+                    lam * ref.result.config.min_distance, rel=1e-9)
+                assert cls.result.config.max_norm == pytest.approx(
+                    lam * ref.result.config.max_norm, rel=1e-9)
 
 
 class TestFrequencySweep:

@@ -93,11 +93,20 @@ def _command_lines(path):
                           *tail])
             lines.append(["probe", path, "--trials", "6", "--seed", "3",
                           "--omegas", "0.5,2", *tail])
+    # the single probe as a one-value sweep, and an empty sweep
+    lines += [["probe", path, "--trials", "12", "--seed", "3",
+               "--omegas", "1"],
+              ["probe", path, "--trials", "6", "--seed", "3",
+               "--omegas", ","]]
     # a bad solver flag together with another bad value
     lines += [["search", path, "--trials", "0", "--damping-init", "0"],
               ["probe", path, "--trials", "0", "--damping-grow", "1"],
               ["probe", path, "--omegas", "-1", "--damping-init", "0"],
+              ["probe", path, "--omegas", "abc", "--damping-init", "0"],
               ["continue", path, "--a-target", "0", "--tol", "nan"]]
+    # verify's own threshold: unusable values and an exact-zero test
+    lines += [["verify", path, "--samples", "4", "--tol", tol]
+              for tol in ("inf", "-1", "0")]
     return lines
 
 
