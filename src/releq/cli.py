@@ -78,7 +78,7 @@ def _csv(header, rows):
 
 def _need_positions(doc):
     if doc.config is None:
-        raise DocumentError("document has no 'positions'", field="positions")
+        raise DocumentError("document has no 'positions'")
     return doc.config
 
 
@@ -230,10 +230,10 @@ def _cmd_probe(args):
     problem = doc.problem
     opts = _solve_options(args)
     omegas = ([float(w) for w in args.omegas.split(",") if w.strip()]
-              if args.omegas else [1.0])
+              if args.omegas is not None else [1.0])
     reports = frequency_sweep(problem, omegas, args.trials, args.seed,
                               opts=opts)
-    if args.omegas:
+    if args.omegas is not None:
         found = sum(r.classes_found for r in reports)
         print(f"probe: sweep omegas={len(omegas)} total_classes={found}")
         payload = {"omegas": omegas,

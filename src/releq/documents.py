@@ -41,13 +41,10 @@ def _number_list(value, name, length=None):
     if not isinstance(value, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
     ):
-        raise DocumentError(f"field '{name}' must be an array of numbers",
-                            field=name)
+        raise DocumentError(f"field '{name}' must be an array of numbers")
     if length is not None and len(value) != length:
         raise DocumentError(
-            f"field '{name}' must have length {length}, got {len(value)}",
-            field=name,
-        )
+            f"field '{name}' must have length {length}, got {len(value)}")
     return [float(x) for x in value]
 
 
@@ -64,30 +61,22 @@ def parse_document(text):
 
     unknown = set(raw) - set(_KEY_ORDER)
     if unknown:
-        raise DocumentError(
-            f"unknown field(s): {', '.join(sorted(unknown))}",
-            field=sorted(unknown)[0],
-        )
+        raise DocumentError(f"unknown field(s): {', '.join(sorted(unknown))}")
     for required in ("schema_version", "dimension", "exponent", "masses",
                      "frequencies"):
         if required not in raw:
-            raise DocumentError(f"missing required field '{required}'",
-                                field=required)
+            raise DocumentError(f"missing required field '{required}'")
 
     version = raw["schema_version"]
     if not isinstance(version, str) or version != SCHEMA_VERSION:
         raise DocumentError(
-            f"field 'schema_version' must be the string '{SCHEMA_VERSION}'",
-            field="schema_version",
-        )
+            f"field 'schema_version' must be the string '{SCHEMA_VERSION}'")
     dimension = raw["dimension"]
     if not isinstance(dimension, int) or isinstance(dimension, bool):
-        raise DocumentError("field 'dimension' must be an integer",
-                            field="dimension")
+        raise DocumentError("field 'dimension' must be an integer")
     exponent = raw["exponent"]
     if not isinstance(exponent, (int, float)) or isinstance(exponent, bool):
-        raise DocumentError("field 'exponent' must be a number",
-                            field="exponent")
+        raise DocumentError("field 'exponent' must be a number")
     masses = _number_list(raw["masses"], "masses")
     frequencies = _number_list(raw["frequencies"], "frequencies")
     # value ranges are Problem's to check
@@ -100,9 +89,7 @@ def parse_document(text):
     if positions is not None:
         if not isinstance(positions, list) or len(positions) != len(masses):
             raise DocumentError(
-                f"field 'positions' must be an array of {len(masses)} points",
-                field="positions",
-            )
+                f"field 'positions' must be an array of {len(masses)} points")
         positions = [
             _number_list(row, f"positions[{i}]", length=dimension)
             for i, row in enumerate(positions)
@@ -112,9 +99,7 @@ def parse_document(text):
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
     ):
-        raise DocumentError(
-            "field 'metadata' must be a string-to-string map", field="metadata"
-        )
+        raise DocumentError("field 'metadata' must be a string-to-string map")
 
     config = None
     if positions is not None:

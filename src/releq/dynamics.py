@@ -69,18 +69,15 @@ class Trajectory:
         return PhaseState(self.positions[idx], self.velocities[idx], self.times[idx])
 
 
-def _guard_positions(positions, problem, time=None):
-    """Shape-checked kernel input; raises SingularityError on near-collision.
-
-    ``time`` is the integration time to report, None for static calls.
-    """
+def _guard_positions(positions, problem):
+    """Shape-checked kernel input; raises SingularityError on near-collision."""
     pos = _kernels.as_input(positions)
     if pos.shape != (problem.n, problem.k):
         raise ValueError(
             f"positions shape {pos.shape} does not match problem "
             f"(n={problem.n}, k={problem.k})"
         )
-    _check_separation(pos, _kernels.pair_geometry(pos[None])[1], time)
+    _check_separation(pos, _kernels.pair_geometry(pos[None])[1], None)
     return pos
 
 

@@ -14,8 +14,4 @@ class SingularityError(RuntimeError):
 
 
 class DocumentError(ValueError):
-    """Raised for malformed problem documents; ``field`` names the offender."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    """Raised for malformed problem documents; the message names the field."""

@@ -20,8 +20,8 @@ from . import _kernels
 COLLISION_RTOL = 1e-12
 
 
-def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values):
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -92,10 +92,6 @@ class Problem:
         return self.masses.size
 
     @property
-    def p(self):
-        return self.k // 2
-
-    @property
     def a(self):
         return self.exponent
 
@@ -134,14 +130,6 @@ class Configuration:
             )
         object.__setattr__(self, "min_distance", min_dist)
         object.__setattr__(self, "max_norm", max_norm)
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def k(self):
-        return self.points.shape[1]
 
 
 def _check_frequency_dims(frequencies, k):

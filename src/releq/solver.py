@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +49,6 @@ from .model import (
     check_problem_config,
     collision_threshold,
 )
-
-log = logging.getLogger(__name__)
 
 # A multistart search runs so many trials at once that one
 # (slots, n*k, n*k) array has at most this many float64 entries (512 KB).
@@ -119,7 +116,7 @@ class SolveResult:
     residual_max: float
     iterations: int
     termination: Termination
-    residual_history: tuple = field(default=())
+    residual_history: tuple
 
     @property
     def converged(self):
@@ -156,7 +153,7 @@ class EquilibriumFingerprint:
         object.__setattr__(self, "sorted_distances", d)
         object.__setattr__(self, "sorted_mass_weighted_norms", w)
 
-    def matches(self, other, rtol=FINGERPRINT_RTOL):
+    def matches(self, other):
         for mine, theirs in (
             (self.sorted_distances, other.sorted_distances),
             (self.sorted_mass_weighted_norms, other.sorted_mass_weighted_norms),
@@ -164,7 +161,7 @@ class EquilibriumFingerprint:
             if mine.shape != theirs.shape:
                 return False
             ref = max(1.0, float(np.abs(mine).max()), float(np.abs(theirs).max()))
-            if float(np.abs(mine - theirs).max()) > rtol * ref:
+            if float(np.abs(mine - theirs).max()) > FINGERPRINT_RTOL * ref:
                 return False
         return True
 
@@ -519,10 +516,6 @@ def multistart_search(problem, trials, rng_seed, opts=None):
                 break
         else:
             found.append([replace(result, config=canonical), fp, 1])
-    dropped = trials - sum(hits for _, _, hits in found)
-    if dropped:
-        log.debug("multistart: %d of %d trials dropped (unconverged)",
-                  dropped, trials)
     return [SearchClass(_lifted(result, problem.k), fp, hits)
             for result, fp, hits in found]
 
@@ -561,8 +554,6 @@ def continuation_in_exponent(start, problem, a_target, steps, opts=None):
         stepped = solve_from_seed(config, problem.with_exponent(a_value), opts)
         steps_done.append((float(a_value), stepped))
         if not stepped.converged:
-            log.debug("continuation stopped at a=%.6g (%s)",
-                      a_value, stepped.termination.value)
             break
         config = stepped.config
     return steps_done

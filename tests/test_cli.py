@@ -293,6 +293,27 @@ class TestProbe:
         assert json.loads(out["single", "json"]) == sweep["reports"][0]
         assert out["single", "csv"] == out["sweep", "csv"]
 
+    @pytest.mark.parametrize("omegas", ["", " "])
+    def test_omegas_naming_no_value_is_empty_sweep(self, omegas,
+                                                   problem_only_doc,
+                                                   tmp_path, capsys):
+        # every --omegas value that names no number runs the empty sweep
+        args = ["probe", str(problem_only_doc), "--trials", "5"]
+        out = {}
+        for value in (omegas, ","):
+            for fmt in ("json", "csv"):
+                path = tmp_path / f"{fmt}.{fmt}"
+                assert main(args + ["--omegas", value, "--format", fmt,
+                                    "--out", str(path)]) == 0
+                out[value, fmt] = path.read_text()
+                out[value, fmt, "stdout"] = capsys.readouterr().out
+        assert out[",", "json", "stdout"] == (
+            "probe: sweep omegas=0 total_classes=0\n")
+        assert json.loads(out[",", "json"]) == {"omegas": [], "reports": []}
+        for key in (("json",), ("csv",), ("json", "stdout"),
+                    ("csv", "stdout")):
+            assert out[(omegas,) + key] == out[(",",) + key]
+
     def test_probe_byte_identical(self, problem_only_doc, tmp_path):
         out1 = tmp_path / "p1.json"
         out2 = tmp_path / "p2.json"

@@ -65,6 +65,10 @@ def test_syntax_error_carries_line():
     (lambda d: d.update(metadata={"a": 1}), "metadata"),
     (lambda d: d.update(schema_version="99"), "schema_version"),
     (lambda d: d.update(bogus=1), "bogus"),
+    (lambda d: d.update(masses=["a", 1.0]), "masses"),
+    (lambda d: d.update(dimension=True), "dimension"),
+    (lambda d: d.update(exponent=True), "exponent"),
+    (lambda d: d.update(positions=[["x", 0.0], [1.0, 0.0]]), "positions[0]"),
 ])
 def test_field_errors(oracle_doc_text, mutate, field):
     raw = json.loads(oracle_doc_text)
@@ -72,6 +76,33 @@ def test_field_errors(oracle_doc_text, mutate, field):
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(raw))
     assert field.strip() in str(err.value)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d.update(bogus=1, zeta=2), "unknown field(s): bogus, zeta"),
+    (lambda d: d.pop("masses"), "missing required field 'masses'"),
+    (lambda d: d.update(schema_version="99"),
+     "field 'schema_version' must be the string '1'"),
+    (lambda d: d.update(dimension=True), "field 'dimension' must be an integer"),
+    (lambda d: d.update(exponent=True), "field 'exponent' must be a number"),
+    (lambda d: d.update(masses=["a", 1.0]),
+     "field 'masses' must be an array of numbers"),
+    (lambda d: d.update(positions=[[0.0, 0.0]]),
+     "field 'positions' must be an array of 2 points"),
+    (lambda d: d.update(positions=[["x", 0.0], [1.0, 0.0]]),
+     "field 'positions[0]' must be an array of numbers"),
+    (lambda d: d.update(positions=[[1.0], [-1.0]]),
+     "field 'positions[0]' must have length 2, got 1"),
+    (lambda d: d.update(metadata={"a": 1}),
+     "field 'metadata' must be a string-to-string map"),
+])
+def test_error_message_names_the_field(oracle_doc_text, mutate, message):
+    # the message is all a DocumentError carries, so its bytes are pinned
+    raw = json.loads(oracle_doc_text)
+    mutate(raw)
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(raw))
+    assert str(err.value) == message
 
 
 def test_colliding_positions_rejected(oracle_doc_text):

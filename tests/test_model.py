@@ -188,7 +188,6 @@ class TestDomainTypes:
 
     def test_problem_derived_fields(self):
         prob = Problem(5, [1.0, 2.0, 3.0], [1.0, 2.0], -1.5)
-        assert prob.p == 2
         assert prob.a == -1.5
         assert np.array_equal(prob.asq, [1.0, 1.0, 4.0, 4.0, 0.0])
 

@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import shlex
 import sys
 import tempfile
 
@@ -65,6 +66,8 @@ def _documents():
                          [[0.5, 0.0], [0.5, 0.0]]),
         "bad-mass": doc(2, -1.5, [1.0, -1.0], [1.0],
                         [[0.5, 0.0], [-0.5, 0.0]]),
+        "string-mass": doc(2, -1.5, ["a", 1.0], [1.0]),
+        "unknown-key": {**doc(2, -1.5, [1.0, 1.0], [1.0]), "bogus": 1},
     }
 
 
@@ -93,11 +96,11 @@ def _command_lines(path):
                           *tail])
             lines.append(["probe", path, "--trials", "6", "--seed", "3",
                           "--omegas", "0.5,2", *tail])
-    # the single probe as a one-value sweep, and an empty sweep
+    # the single probe as a one-value sweep, and two empty sweeps
     lines += [["probe", path, "--trials", "12", "--seed", "3",
-               "--omegas", "1"],
-              ["probe", path, "--trials", "6", "--seed", "3",
-               "--omegas", ","]]
+               "--omegas", "1"]]
+    lines += [["probe", path, "--trials", "6", "--seed", "3",
+               "--omegas", omegas] for omegas in (",", "")]
     # a bad solver flag together with another bad value
     lines += [["search", path, "--trials", "0", "--damping-init", "0"],
               ["probe", path, "--trials", "0", "--damping-grow", "1"],
@@ -127,7 +130,7 @@ def _run(argv, tmp, out_path):
     if os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as handle:
             report = handle.read()
-    shown = " ".join(argv).replace(tmp, "<tmp>")
+    shown = shlex.join(argv).replace(tmp, "<tmp>")
     return (f"{code} {_digest(stdout.getvalue(), tmp)} "
             f"{_digest(stderr.getvalue(), tmp)} {_digest(report, tmp)} "
             f"{shown}")
