@@ -29,12 +29,11 @@ from .dynamics import (
     rigid_rotation_trajectory,
 )
 from .errors import DocumentError, SingularityError
-from .probe import frequency_sweep
+from .probe import bound_probe, frequency_sweep
 from .solver import (
     SolveOptions,
     continuation_in_exponent,
     fingerprint,
-    multistart_search,
     solve_from_seed,
 )
 
@@ -163,23 +162,21 @@ def _search_csv(classes):
 
 def _cmd_search(args):
     doc = load_document(args.input)
-    problem = doc.problem
-    classes = multistart_search(problem, args.trials, args.seed,
-                                opts=_solve_options(args))
-    converged = sum(cls.hits for cls in classes)
-    print(f"search: trials={args.trials} converged={converged} "
-          f"classes={len(classes)}")
+    report = bound_probe(doc.problem, args.trials, args.seed,
+                         opts=_solve_options(args))
+    print(f"search: trials={args.trials} converged={report.converged} "
+          f"classes={report.classes_found}")
     if args.format == "csv":
-        _emit(args, _search_csv(classes))
+        _emit(args, _search_csv(report.classes))
     else:
         _emit(args, _json_report({
             "trials": args.trials,
             "rng_seed": args.seed,
-            "converged": converged,
-            "dropped": args.trials - converged,
+            "converged": report.converged,
+            "dropped": report.dropped,
             "classes": [{**cls.result.to_dict(),
                          "fingerprint": cls.fingerprint.to_dict(),
-                         "hits": cls.hits} for cls in classes],
+                         "hits": cls.hits} for cls in report.classes],
         }))
     return EXIT_OK
 

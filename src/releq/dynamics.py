@@ -3,7 +3,8 @@ verification that a candidate configuration really rotates rigidly.
 
 The force on body i is sum_{j!=i} m_j (q_j - q_i) |q_j - q_i|^(2a). The
 integrator is an adaptive Dormand-Prince 5(4) pair with PI step control;
-it aborts cleanly with a SingularityError when bodies approach collision.
+it aborts cleanly with a SingularityError when bodies approach collision,
+or when an accepted step carries a pair through one.
 """
 
 from __future__ import annotations
@@ -227,17 +228,19 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     nk = n * k
 
     def derivative(out, y):
-        """Write dy/dt at ``y`` into ``out``; return the pair r^2 at ``y``."""
+        """Write dy/dt at ``y`` into ``out``; return the pair geometry."""
         diff, r2 = _kernels.pair_geometry(y[:nk].reshape(1, n, k))
         out[:nk] = y[nk:]
         out[nk:] = _kernels.forces_from(diff, r2 ** a, m).ravel()
-        return r2
+        return diff, r2
 
     y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
     t = t0
-    # stages[0] is dy/dt at y; a rejected step leaves it untouched
+    # stages[0] is dy/dt at y, and diff is Q_j - Q_i at y; a rejected step
+    # leaves both untouched
     stages = np.empty((7, 2 * nk))
-    _check_separation(initial.positions, derivative(stages[0], y), t)
+    diff, r2 = derivative(stages[0], y)
+    _check_separation(initial.positions, r2, t)
     h = min(_initial_step(derivative, y, stages[0], tol), t_end - t0)
     err_old = 1e-4
     stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
@@ -257,7 +260,7 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
             try:
                 for s, (prev, coef) in enumerate(stage_rows, 1):
                     y_new = y + h_step * (prev @ coef)
-                    r2_new = derivative(stages[s], y_new)
+                    diff_new, r2_new = derivative(stages[s], y_new)
                 # FSAL: the last stage point is the new state, and its
                 # stage is dy/dt there
                 err_vec = h_step * (stages_t @ _DP_E)
@@ -278,6 +281,13 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
                 if target - t < 1e-14 * max(1.0, abs(target)):
                     t = target
                 _check_separation(y[:nk].reshape(n, k), r2_new, t)
+                # a pair whose separation turned by more than a right angle
+                # in one step has passed through a collision between states
+                if (np.einsum("bijk,bijk->bij", diff, diff_new) < 0.0).any():
+                    raise SingularityError(
+                        f"bodies passed through each other before t={t:.6g}: "
+                        "integration aborted", time=t)
+                diff = diff_new
             else:
                 h = h_step * max(_MIN_FACTOR, _SAFETY * err ** -_PI_EXPO)
         out_pos[s_idx] = y[:nk].reshape(n, k)

@@ -26,15 +26,6 @@ def _frozen_array(values):
     return arr
 
 
-def collision_threshold(size):
-    """Minimum admissible pairwise separation at a configuration size.
-
-    ``size`` is the largest point norm of a configuration, or an array of
-    them for a stack.
-    """
-    return COLLISION_RTOL * (1.0 + size)
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Immutable description of one rotating n-body problem.
@@ -124,7 +115,7 @@ class Configuration:
         object.__setattr__(self, "points", points)
         max_norm = float(np.sqrt(np.sum(points ** 2, axis=1)).max())
         min_dist = _kernels.min_pair_distance(_kernels.as_input(points))
-        if not min_dist > collision_threshold(max_norm):
+        if not min_dist > COLLISION_RTOL * (1.0 + max_norm):
             raise ValueError(
                 f"colliding configuration: min pairwise distance {min_dist:.3e}"
             )

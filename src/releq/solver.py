@@ -13,18 +13,19 @@ masses, rates and exponent, and the results are lifted to z = 0.
 
 The one LM implementation, ``_solve_batch``, runs seeds in lock-step
 rounds over a fixed number of slots. Each round first gives every slot
-that a stopped trial freed the next seed, then makes one Jacobian for
-the trials that have just started or moved, one factorization for all
-open trials, and one pair-geometry pass for all their trial point sets,
-from which the collision guard, the residual and, once a step is
-accepted, the next round's residual scale and Jacobian derive. Damping,
-collision streak and iteration count stay per trial, so every trial
-takes bit for bit the steps it takes alone. ``solve_from_seed`` is a
-batch of one seed in one slot. Multistart search takes as many slots as
-keep one (slots, n*k, n*k) array within 2**16 float64 entries (512 KB),
-which keeps peak memory near that of a lone solve at large n. Each
-trial draws its seed from a generator split off the root seed by trial
-index, so results never depend on which trials share its rounds.
+that a stopped trial freed the next seed, then makes one factorization
+for all open trials and one pair-geometry pass for all their trial point
+sets. The collision guard and the residual derive from that pass, and
+an accepted step is settled from it at once, as a placed seed is: its
+convergence, iteration and gradient tests and its Jacobian for the next
+round. A trial stopped by a test frees its slot for the next round.
+Damping, collision streak and iteration count stay per trial, so every
+trial takes bit for bit the steps it takes alone. ``solve_from_seed`` is
+a batch of one seed in one slot. Multistart search takes as many slots
+as keep one (slots, n*k, n*k) array within 2**16 float64 entries
+(512 KB), which keeps peak memory near that of a lone solve at large n.
+Each trial draws its seed from a generator split off the root seed by
+trial index, so results never depend on which trials share its rounds.
 
 A trial stalls when its damped steps keep failing until the damping
 passes ``DAMPING_MAX``, or, by the gradient test of MINPACK's ``lmder``,
@@ -43,12 +44,7 @@ import numpy as np
 
 from . import _kernels
 from .criterion import residual, residual_scale_batch
-from .model import (
-    Configuration,
-    Problem,
-    check_problem_config,
-    collision_threshold,
-)
+from .model import Configuration, Problem, check_problem_config
 
 # A multistart search runs so many trials at once that one
 # (slots, n*k, n*k) array has at most this many float64 entries (512 KB).
@@ -285,10 +281,12 @@ def _solve_batch(seeds, problem, opts, slots):
 
     Up to ``slots`` trials run at once, one per slot. Each round starts by
     placing the next seeds in the slots that trials stopping in the last
-    round freed. Then every trial that has just started or just accepted
-    a step runs the convergence test and, if still open, is linearized
-    (Jacobian, normal matrix, gradient, damping base) and runs the
-    gradient test; then every open trial makes one damped attempt.
+    round freed; then every open trial makes one damped attempt. A point
+    set enters its slot, as a placed seed or an accepted trial step, by
+    one settle: from the pair geometry it was just measured with it runs
+    the convergence test, the iteration test, the linearization
+    (Jacobian, normal matrix, gradient, damping base) and the gradient
+    test, so a trial stops in the round its last point set was measured.
     Damping, collision streak and iteration count are per trial, and each
     trial makes exactly the decisions and the arithmetic of a lone solve:
     trial steps are accepted only when they decrease the trial's stacked
@@ -296,20 +294,11 @@ def _solve_batch(seeds, problem, opts, slots):
     collision guard are rejected with increased damping instead of being
     evaluated. Results are yielded in seed order, each as soon as every
     earlier trial has finished.
-
-    Each trial point set is measured by one ``pair_geometry`` pass, from
-    which the guard, the residual and, once the step is accepted, the
-    residual scale and the Jacobian of the next round all derive.
     """
     n, k = problem.n, problem.k
     masses, asq, a = problem.masses, problem.asq, problem.a
     seeds = iter(seeds)
     points = np.empty((slots, n, k))
-    # each trial's current pair geometry, kept for its next linearization
-    diff = np.empty((slots, n, n, k))
-    r2 = np.empty((slots, n, n))
-    r2a = np.empty((slots, n, n))
-    per_body = np.empty((slots, n, k))
     max_norm = np.empty(slots)
     cost = np.empty(slots)
     history = [None] * slots
@@ -319,7 +308,6 @@ def _solve_batch(seeds, problem, opts, slots):
     jtj = np.empty((slots, n * k, n * k))
     grad = np.empty((slots, n * k))
     mu_base = np.empty(slots)
-    fresh = np.zeros(slots, dtype=bool)   # started or just accepted a step
     active = np.zeros(slots, dtype=bool)
     order = np.empty(slots, dtype=int)    # index of the seed in each slot
     drawn = 0                             # seeds placed so far
@@ -339,53 +327,60 @@ def _solve_batch(seeds, problem, opts, slots):
         stop(rejected[give_up | (damping[rejected] > DAMPING_MAX)],
              termination)
 
+    def defects(pts, diff, r2):
+        """r^(2a), per-body balance defects and their norms of point sets."""
+        r2a = r2 ** a
+        body = pts * asq + _kernels.forces_from(diff, r2a, masses)
+        return r2a, body, _costs(body)
+
+    def settle(idx, pts, diff, r2, r2a, body, body_cost):
+        """Put measured point sets in their slots, then test and linearize."""
+        if not idx.size:
+            return
+        points[idx] = pts
+        cost[idx] = body_cost
+        max_norm[idx] = _max_norms(body)
+        for i in idx:
+            history[i].append(float(max_norm[i]))
+        scale = residual_scale_batch(pts, r2, problem)
+        converged = max_norm[idx] <= opts.tol_res * scale
+        spent = ~converged & (iterations[idx] >= MAX_ITERATIONS)
+        stop(idx[converged], Termination.CONVERGED)
+        stop(idx[spent], Termination.MAX_ITERATIONS)
+        live = ~(converged | spent)
+        idx = idx[live]
+        jac = _kernels.jacobian_from(diff[live], r2[live], r2a[live],
+                                     masses, asq, a)
+        jac_t = jac.transpose(0, 2, 1)
+        normal = jac_t @ jac
+        gradient = (jac_t @ body[live].reshape(-1, n * k, 1))[..., 0]
+        diagonal = np.diagonal(normal, axis1=1, axis2=2)
+        stalled = (np.sqrt(np.sum(gradient ** 2, axis=1))
+                   <= GRADIENT_RTOL * np.sqrt(diagonal.sum(axis=1))
+                   * body_cost[live])
+        stop(idx[stalled], Termination.STALLED)
+        idx, live = idx[~stalled], ~stalled
+        jtj[idx] = normal[live]
+        grad[idx] = gradient[live]
+        mu_base[idx] = np.maximum(diagonal[live].max(axis=1),
+                                  np.finfo(float).tiny)
+
     while True:
         free = np.flatnonzero(~active)
         placed = list(itertools.islice(seeds, free.size))
         idx = free[:len(placed)]
         if idx.size:
-            points[idx] = placed
-            diff[idx], r2[idx] = _kernels.pair_geometry(points[idx])
-            r2a[idx] = r2[idx] ** a
-            per_body[idx] = points[idx] * asq + _kernels.forces_from(
-                diff[idx], r2a[idx], masses)
-            max_norm[idx] = _max_norms(per_body[idx])
-            cost[idx] = _costs(per_body[idx])
             for i in idx:
-                history[i] = [float(max_norm[i])]
+                history[i] = []
             damping[idx] = opts.damping_init
             streak[idx] = 0
             iterations[idx] = 0
-            fresh[idx] = active[idx] = True
+            active[idx] = True
             order[idx] = np.arange(drawn, drawn + idx.size)
             drawn += idx.size
-
-        idx = np.flatnonzero(active & fresh)
-        if idx.size:
-            scale = residual_scale_batch(points[idx], r2[idx], problem)
-            converged = max_norm[idx] <= opts.tol_res * scale
-            stop(idx[converged], Termination.CONVERGED)
-            idx = idx[~converged]
-            spent = iterations[idx] >= MAX_ITERATIONS
-            stop(idx[spent], Termination.MAX_ITERATIONS)
-            idx = idx[~spent]
-            jac = _kernels.jacobian_from(diff[idx], r2[idx], r2a[idx],
-                                         masses, asq, a)
-            jac_t = jac.transpose(0, 2, 1)
-            normal = jac_t @ jac
-            defect = per_body[idx].reshape(len(idx), n * k, 1)
-            gradient = (jac_t @ defect)[..., 0]
-            diagonal = np.diagonal(normal, axis1=1, axis2=2)
-            stalled = (np.sqrt(np.sum(gradient ** 2, axis=1))
-                       <= GRADIENT_RTOL * np.sqrt(diagonal.sum(axis=1))
-                       * cost[idx])
-            stop(idx[stalled], Termination.STALLED)
-            idx, live = idx[~stalled], ~stalled
-            jtj[idx] = normal[live]
-            grad[idx] = gradient[live]
-            mu_base[idx] = np.maximum(diagonal[live].max(axis=1),
-                                      np.finfo(float).tiny)
-            fresh[idx] = False
+            seed = np.array(placed, dtype=float)
+            diff, r2 = _kernels.pair_geometry(seed)
+            settle(idx, seed, diff, r2, *defects(seed, diff, r2))
 
         while yielded in finished:
             yield finished.pop(yielded)
@@ -403,45 +398,32 @@ def _solve_batch(seeds, problem, opts, slots):
         idx = idx[finite]
 
         trial = points[idx] + steps[finite].reshape(-1, n, k)
-        # a trial passes if it would make a Configuration (finite, above
-        # the construction threshold, which lies under the guard) and its
-        # minimum separation is not below GUARD_REL times its size
-        passed = np.isfinite(trial).all(axis=(1, 2))
+        size = _max_norms(trial)
+        # a trial passes if its size is finite (so are its points) and its
+        # minimum separation is not below GUARD_REL * max(1, size), which
+        # lies above the Configuration threshold COLLISION_RTOL * (1 + size)
+        passed = np.isfinite(size)
         whole = np.flatnonzero(passed)
-        size = _max_norms(trial[whole])
-        trial_diff, trial_r2 = _kernels.pair_geometry(trial[whole])
-        min_dist = _kernels.min_distance_from(trial_r2)
-        clear = ((min_dist > collision_threshold(size))
-                 & ~(min_dist < GUARD_REL * np.maximum(1.0, size)))
+        diff, r2 = _kernels.pair_geometry(trial[whole])
+        clear = (_kernels.min_distance_from(r2)
+                 >= GUARD_REL * np.maximum(1.0, size[whole]))
         passed[whole] = clear
         guarded = idx[~passed]
         streak[guarded] += 1
         reject(guarded, Termination.COLLISION_GUARD,
                streak[guarded] >= MAX_COLLISION_REJECTS)
         idx, trial = idx[passed], trial[passed]
-        trial_diff, trial_r2 = trial_diff[clear], trial_r2[clear]
+        diff, r2 = diff[clear], r2[clear]
         streak[idx] = 0
 
-        trial_r2a = trial_r2 ** a
-        trial_body = trial * asq + _kernels.forces_from(
-            trial_diff, trial_r2a, masses)
-        trial_cost = _costs(trial_body)
+        r2a, body, trial_cost = defects(trial, diff, r2)
         better = np.isfinite(trial_cost) & (trial_cost < cost[idx])
         reject(idx[~better], Termination.STALLED)
-
         idx = idx[better]
-        points[idx] = trial[better]
-        diff[idx] = trial_diff[better]
-        r2[idx] = trial_r2[better]
-        r2a[idx] = trial_r2a[better]
-        per_body[idx] = trial_body[better]
-        cost[idx] = trial_cost[better]
-        max_norm[idx] = _max_norms(trial_body[better])
-        for i in idx:
-            history[i].append(float(max_norm[i]))
         damping[idx] = np.maximum(damping[idx] * opts.damping_shrink, 1e-15)
         iterations[idx] += 1
-        fresh[idx] = True
+        settle(idx, trial[better], diff[better], r2[better], r2a[better],
+               body[better], trial_cost[better])
 
 
 def solve_from_seed(seed, problem, opts=None):

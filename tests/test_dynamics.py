@@ -130,6 +130,19 @@ class TestIntegrate:
             integrate(state, prob, 10.0, 1e-10)
         assert err.value.time == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-6)
 
+    @pytest.mark.parametrize("a,tol", [(-0.6, 1e-3), (-0.6, 1e-6),
+                                       (-0.75, 1e-3), (-0.75, 1e-6),
+                                       (-1.0, 1e-3)])
+    def test_head_on_pass_through_aborts(self, a, tol):
+        # at loose tolerance the pair steps from one side of the collision
+        # to the other without a state under the guard; the step that
+        # reverses their separation is the collision
+        prob = Problem(2, [1.0, 1.0], [1.0], a)
+        state = PhaseState([[0.5, 0.0], [-0.5, 0.0]], np.zeros((2, 2)))
+        with pytest.raises(SingularityError, match="passed through") as err:
+            integrate(state, prob, 10.0, tol)
+        assert 0.8 < err.value.time < 1.1
+
     @pytest.mark.parametrize("early,raises", [(1.22e-10, True),
                                               (1.35e-10, False)])
     def test_last_state_is_guarded(self, early, raises):

@@ -113,6 +113,22 @@ def _command_lines(path):
     return lines
 
 
+# 16 equal planar masses take 2**16 // (16*2)**2 = 64 solver slots, so
+# 100 trials refill freed slots with the remaining 36 seeds
+ROLLING = ("ring16", {"schema_version": "1", "dimension": 2,
+                      "exponent": -1.5, "masses": [1.0] * 16,
+                      "frequencies": [1.0]})
+
+
+def _rolling_lines(path):
+    """Search and probe lines whose trials outnumber the solver slots."""
+    return [[command, path, "--trials", "100", "--seed", "3", *flags,
+             "--format", fmt]
+            for flags in (SOLVER_FLAGS["default"], SOLVER_FLAGS["tight"])
+            for command in ("search", "probe")
+            for fmt in ("json", "csv")]
+
+
 def _digest(data, tmp):
     if data is None:
         return "-"
@@ -139,11 +155,13 @@ def _run(argv, tmp, out_path):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "report.out")
-        for name, raw in _documents().items():
+        runs = [(name, raw, _command_lines)
+                for name, raw in _documents().items()]
+        for name, raw, command_lines in [*runs, (*ROLLING, _rolling_lines)]:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(raw, handle)
-            for argv in _command_lines(path):
+            for argv in command_lines(path):
                 for extra in ([], ["--out", out_path]):
                     print(_run(argv + extra, tmp, out_path), flush=True)
 
