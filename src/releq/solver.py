@@ -26,12 +26,20 @@ as keep one (slots, n*k, n*k) array within 2**16 float64 entries
 (512 KB), which keeps peak memory near that of a lone solve at large n.
 Each trial draws its seed from a generator split off the root seed by
 trial index, so results never depend on which trials share its rounds.
+The damped matrix of each open trial is a copy of its J^T J with the
+damping added on the diagonal in place, and a stack is gathered down to
+its open trials only when some trial leaves it.
 
 A trial stalls when its damped steps keep failing until the damping
 passes ``DAMPING_MAX``, or, by the gradient test of MINPACK's ``lmder``,
 when it reaches a stationary point of ||F||^2 that is no zero:
 ||J^T F|| <= GRADIENT_RTOL * ||J||_F * ||F||, tested each time the trial
 is linearized, after the convergence and iteration tests.
+
+A search keeps the fingerprints of its classes as two stacked arrays, in
+discovery order, and tests each converged trial against all of them in
+one array comparison: the trial joins the first class it matches, by the
+rule of ``EquilibriumFingerprint.matches``, or opens a new class.
 """
 
 from __future__ import annotations
@@ -150,22 +158,41 @@ class EquilibriumFingerprint:
         object.__setattr__(self, "sorted_mass_weighted_norms", w)
 
     def matches(self, other):
-        for mine, theirs in (
-            (self.sorted_distances, other.sorted_distances),
-            (self.sorted_mass_weighted_norms, other.sorted_mass_weighted_norms),
-        ):
-            if mine.shape != theirs.shape:
-                return False
-            ref = max(1.0, float(np.abs(mine).max()), float(np.abs(theirs).max()))
-            if float(np.abs(mine - theirs).max()) > FINGERPRINT_RTOL * ref:
-                return False
-        return True
+        return _first_match(self.sorted_distances[None],
+                            self.sorted_mass_weighted_norms[None],
+                            other) is not None
 
     def to_dict(self):
         return {
             "sorted_distances": self.sorted_distances.tolist(),
             "sorted_mass_weighted_norms": self.sorted_mass_weighted_norms.tolist(),
         }
+
+
+def _first_match(distances, norms, fp):
+    """Index of the first row pair of the stacks that ``fp`` matches, or None.
+
+    Row c of ``distances`` and ``norms`` is the known fingerprint c. It
+    matches when, on each side, max|known - new| <= FINGERPRINT_RTOL *
+    max(1, max|known|, max|new|); rows of another length never match.
+    """
+    hit = True
+    for known, new in ((distances, fp.sorted_distances),
+                       (norms, fp.sorted_mass_weighted_norms)):
+        if known.shape[1:] != new.shape:
+            return None
+        ref = np.maximum(np.abs(known).max(axis=1, initial=1.0),
+                         np.abs(new).max())
+        hit = hit & (np.abs(known - new).max(axis=1) <= FINGERPRINT_RTOL * ref)
+    return int(np.argmax(hit)) if np.any(hit) else None
+
+
+def _doubled(stack):
+    """``stack`` with twice the rows; the new rows are left unwritten, so
+    they take no resident memory until a class fills them."""
+    grown = np.empty((2 * len(stack), stack.shape[1]))
+    grown[:len(stack)] = stack
+    return grown
 
 
 def fingerprint(config, problem):
@@ -265,6 +292,14 @@ def _damped_steps(lhs, rhs):
         return steps
 
 
+def _rows(mask, *arrays):
+    """Each array's rows where ``mask`` holds, or the arrays themselves
+    when it holds on every row, which saves copying whole stacks."""
+    if mask.all():
+        return arrays
+    return tuple(array[mask] for array in arrays)
+
+
 def _costs(per_body):
     """Euclidean norm of each defect, rounded as ``np.linalg.norm`` does."""
     count, n, k = per_body.shape
@@ -348,22 +383,22 @@ def _solve_batch(seeds, problem, opts, slots):
         stop(idx[converged], Termination.CONVERGED)
         stop(idx[spent], Termination.MAX_ITERATIONS)
         live = ~(converged | spent)
-        idx = idx[live]
-        jac = _kernels.jacobian_from(diff[live], r2[live], r2a[live],
-                                     masses, asq, a)
+        idx, diff, r2, r2a, body, body_cost = _rows(
+            live, idx, diff, r2, r2a, body, body_cost)
+        jac = _kernels.jacobian_from(diff, r2, r2a, masses, asq, a)
         jac_t = jac.transpose(0, 2, 1)
         normal = jac_t @ jac
-        gradient = (jac_t @ body[live].reshape(-1, n * k, 1))[..., 0]
+        gradient = (jac_t @ body.reshape(-1, n * k, 1))[..., 0]
         diagonal = np.diagonal(normal, axis1=1, axis2=2)
         stalled = (np.sqrt(np.sum(gradient ** 2, axis=1))
                    <= GRADIENT_RTOL * np.sqrt(diagonal.sum(axis=1))
-                   * body_cost[live])
+                   * body_cost)
         stop(idx[stalled], Termination.STALLED)
-        idx, live = idx[~stalled], ~stalled
-        jtj[idx] = normal[live]
-        grad[idx] = gradient[live]
-        mu_base[idx] = np.maximum(diagonal[live].max(axis=1),
-                                  np.finfo(float).tiny)
+        idx, normal, gradient, diagonal = _rows(
+            ~stalled, idx, normal, gradient, diagonal)
+        jtj[idx] = normal
+        grad[idx] = gradient
+        mu_base[idx] = np.maximum(diagonal.max(axis=1), np.finfo(float).tiny)
 
     while True:
         free = np.flatnonzero(~active)
@@ -390,8 +425,9 @@ def _solve_batch(seeds, problem, opts, slots):
             if len(placed) < free.size:    # every seed has been solved
                 return
             continue
-        lhs = jtj[idx] + (damping[idx] * mu_base[idx])[:, None, None] \
-            * np.eye(n * k)
+        lhs = jtj[idx]    # a copy, as idx is an index array
+        lhs.reshape(-1, (n * k) ** 2)[:, :: n * k + 1] += \
+            (damping[idx] * mu_base[idx])[:, None]
         steps = _damped_steps(lhs, -grad[idx])
         finite = np.isfinite(steps).all(axis=1)
         reject(idx[~finite], Termination.STALLED)
@@ -412,18 +448,18 @@ def _solve_batch(seeds, problem, opts, slots):
         streak[guarded] += 1
         reject(guarded, Termination.COLLISION_GUARD,
                streak[guarded] >= MAX_COLLISION_REJECTS)
-        idx, trial = idx[passed], trial[passed]
-        diff, r2 = diff[clear], r2[clear]
+        idx, trial = _rows(passed, idx, trial)
+        diff, r2 = _rows(clear, diff, r2)
         streak[idx] = 0
 
         r2a, body, trial_cost = defects(trial, diff, r2)
         better = np.isfinite(trial_cost) & (trial_cost < cost[idx])
         reject(idx[~better], Termination.STALLED)
-        idx = idx[better]
+        idx, *measured = _rows(better, idx, trial, diff, r2, r2a, body,
+                               trial_cost)
         damping[idx] = np.maximum(damping[idx] * opts.damping_shrink, 1e-15)
         iterations[idx] += 1
-        settle(idx, trial[better], diff[better], r2[better], r2a[better],
-               body[better], trial_cost[better])
+        settle(idx, *measured)
 
 
 def solve_from_seed(seed, problem, opts=None):
@@ -486,20 +522,29 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     opts = opts or SolveOptions()
     even = _even_problem(problem)
 
-    found = []    # [canonical result, fingerprint, hits] per class
+    found = []    # [canonical result, hits] per class
+    # the two sides of the classes' fingerprints, row c for class c; rows
+    # from len(found) on are spare, and their count doubles when used up
+    distances = np.empty((16, even.n * (even.n - 1) // 2))
+    norms = np.empty((16, even.n))
     for result in _trial_results(even, trials, rng_seed, opts):
         if not result.converged:
             continue
         canonical = canonicalize(result.config, even)
         fp = fingerprint(canonical, even)
-        for known in found:
-            if known[1].matches(fp):
-                known[2] += 1
-                break
-        else:
-            found.append([replace(result, config=canonical), fp, 1])
-    return [SearchClass(_lifted(result, problem.k), fp, hits)
-            for result, fp, hits in found]
+        count = len(found)
+        hit = _first_match(distances[:count], norms[:count], fp)
+        if hit is not None:
+            found[hit][1] += 1
+            continue
+        if count == len(norms):
+            distances, norms = _doubled(distances), _doubled(norms)
+        distances[count] = fp.sorted_distances
+        norms[count] = fp.sorted_mass_weighted_norms
+        found.append([replace(result, config=canonical), 1])
+    return [SearchClass(_lifted(result, problem.k),
+                        EquilibriumFingerprint(distances[c], norms[c]), hits)
+            for c, (result, hits) in enumerate(found)]
 
 
 def exponent_schedule(a_start, a_target, steps):

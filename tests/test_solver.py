@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -301,6 +302,33 @@ class TestMultistart:
         assert sum(cls.hits for cls in expected) == 12
         assert_same_classes(classes, expected)
 
+    def test_damped_matrix_is_eye_formula(self, monkeypatch):
+        # the damping is added in place on the diagonal of a copy of each
+        # open trial's J^T J: every matrix a rolling search solves equals
+        # jtj + (damping * mu) I, and is solved to the same bits
+        prob = Problem(2, np.ones(6), [1.0], -1.5)
+        damped_steps = solver._damped_steps
+        dampings = []
+
+        def checking(lhs, rhs):
+            state = sys._getframe(1).f_locals    # the _solve_batch round
+            idx, jtj = state["idx"], state["jtj"]
+            mu = state["damping"][idx] * state["mu_base"][idx]
+            expected = jtj[idx] + mu[:, None, None] * np.eye(lhs.shape[1])
+            assert np.array_equal(lhs, expected)
+            steps = damped_steps(lhs, rhs)
+            assert steps.tobytes() == damped_steps(expected, rhs).tobytes()
+            dampings.extend(state["damping"][idx])
+            return steps
+
+        monkeypatch.setattr(solver, "_damped_steps", checking)
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 4 * 12 ** 2)
+        classes = multistart_search(prob, 12, 5)
+        assert classes
+        assert len(dampings) > 12
+        # the damping grows only when a step is rejected
+        assert max(dampings) > SolveOptions().damping_init
+
     def test_seed_radius_formula(self):
         prob = Problem(2, [1.0, 3.0], [2.0], -1.5)
         expected = (4.0 / 4.0) ** (1.0 / -3.0) * 2
@@ -588,6 +616,76 @@ class TestFingerprint:
         assert sorted(fp_a.sorted_mass_weighted_norms) == pytest.approx(
             sorted(fp_b.sorted_mass_weighted_norms))
         assert not fp_a.matches(fp_b)
+
+
+    @staticmethod
+    def _with_side(side, values):
+        """A fingerprint with ``values`` on one side, fixed on the other."""
+        fixed = [0.25, 0.75]
+        if side == "distances":
+            return solver.EquilibriumFingerprint(values, fixed)
+        return solver.EquilibriumFingerprint(fixed, values)
+
+    @pytest.mark.parametrize("side", ["distances", "norms"])
+    @pytest.mark.parametrize("big", [0.5, 4.0 + 2.0 ** -20])
+    def test_bound_is_exact_and_one_ulp_above_splits(self, side, big):
+        # a difference of FINGERPRINT_RTOL * max(1, max|known|, max|new|)
+        # merges, one ulp more splits; below 1 the bound is 1, and above it
+        # the larger side's maximum counts, whichever fingerprint has it
+        edge = solver.FINGERPRINT_RTOL * max(1.0, big)
+        known = self._with_side(side, [0.0, min(big, 4.0)])
+        above = np.nextafter(edge, np.inf)
+        for new in (self._with_side(side, [edge, big]),
+                    self._with_side(side, [-edge, big])):
+            assert known.matches(new) and new.matches(known)
+        for new in (self._with_side(side, [above, big]),
+                    self._with_side(side, [-above, big])):
+            assert not known.matches(new) and not new.matches(known)
+        if big > 4.0:
+            # the bound of the smaller side alone would split the edge
+            assert edge > solver.FINGERPRINT_RTOL * 4.0
+
+    def test_stacked_lookup_takes_first_match(self):
+        # rows 1 and 3 match, row 2 is one ulp too far: the lookup agrees
+        # with matches row by row and returns the first discovered match
+        edge = solver.FINGERPRINT_RTOL
+        rows = [[0.5, 3.0], [edge, 0.5], [np.nextafter(edge, 1.0), 0.5],
+                [0.0, 0.5]]
+        known = [self._with_side("distances", row) for row in rows]
+        new = self._with_side("distances", [0.0, 0.5])
+        distances = np.array(rows)
+        norms = np.array([fp.sorted_mass_weighted_norms for fp in known])
+        assert [fp.matches(new) for fp in known] == [False, True, False, True]
+        assert solver._first_match(distances, norms, new) == 1
+        assert solver._first_match(distances[2:3], norms[2:3], new) is None
+        assert solver._first_match(distances[:0], norms[:0], new) is None
+
+    def test_search_classes_match_pairwise_reference(self):
+        # 16 equal masses: 83 classes from 89 converged trials; the stacked
+        # lookup gives the classes, hits and order of a pairwise scan
+        prob = Problem(2, np.ones(16), [1.0], -1.5)
+        reference = []    # [canonical configuration, fingerprint, hits]
+        for result in solver._trial_results(prob, 100, 3, SolveOptions()):
+            if not result.converged:
+                continue
+            canonical = canonicalize(result.config, prob)
+            fp = fingerprint(canonical, prob)
+            for known in reference:
+                if known[1].matches(fp):
+                    known[2] += 1
+                    break
+            else:
+                reference.append([canonical, fp, 1])
+        assert len(reference) == 83
+        assert sum(hits for _, _, hits in reference) == 89
+        classes = multistart_search(prob, 100, 3)
+        for cls, (config, fp, hits) in zip(classes, reference, strict=True):
+            assert np.array_equal(cls.result.config.points, config.points)
+            assert cls.hits == hits
+            assert np.array_equal(cls.fingerprint.sorted_distances,
+                                  fp.sorted_distances)
+            assert np.array_equal(cls.fingerprint.sorted_mass_weighted_norms,
+                                  fp.sorted_mass_weighted_norms)
 
 
 class TestUnequalMasses:
