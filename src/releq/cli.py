@@ -2,16 +2,17 @@
 
 Subcommands: verify, solve, search, continue, probe, integrate. Every
 command reads a JSON problem document, prints a one-line summary to
-stdout, and writes its full report to --out (atomically); without --out
-the report is printed after the summary. Exit codes: 0 success, 1
-verification/runtime failure, 2 bad input or flags, 3 I/O failure.
+stdout, and writes its full report to --out (atomically, as a new file
+under the umask); without --out the report is printed after the summary.
+A report is written in blocks as it is encoded, with the same bytes as a
+whole-text write. Exit codes: 0 success, 1 verification/runtime failure,
+2 bad input or flags, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -22,7 +23,12 @@ from .criterion import (
     residual,
     weighted_centroid_residual,
 )
-from .documents import load_document, write_text_atomic
+from .documents import (
+    json_chunks,
+    load_document,
+    write_blocks,
+    write_text_atomic,
+)
 from .dynamics import (
     relative_equilibrium_deviation,
     rigid_rotation_gap,
@@ -50,29 +56,25 @@ def positive_int(text):
     return value
 
 
-def _emit(args, text):
-    """Write the report to --out atomically, or print it when --out is unset."""
+def _emit(args, chunks):
+    """Write the report's chunks to --out atomically, or print them when
+    --out is unset; either way in blocks (see `documents.write_blocks`)."""
     if args.out:
-        write_text_atomic(args.out, text)
+        write_text_atomic(args.out, chunks)
     else:
-        sys.stdout.write(text)
-
-
-def _json_report(payload):
-    return json.dumps(payload, indent=2) + "\n"
+        write_blocks(sys.stdout, chunks)
 
 
 def _csv(header, rows):
-    """CSV text: a None cell is empty, an int or str cell is str(cell) and
+    """CSV lines: a None cell is empty, an int or str cell is str(cell) and
     any other cell repr(float(cell)), so floats round-trip exactly."""
-    lines = [",".join(header)]
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(
+        yield ",".join(
             "" if cell is None
             else str(cell) if isinstance(cell, (int, str))
             else repr(float(cell))
-            for cell in row))
-    return "\n".join(lines) + "\n"
+            for cell in row) + "\n"
 
 
 def _need_positions(doc):
@@ -127,7 +129,7 @@ def _cmd_verify(args):
     status = "PASS" if passed else "FAIL"
     print(f"verify: {status} residual_max={report.max_norm:.6e} "
           f"tol={args.tol:.1e} deviation={deviation:.6e}")
-    _emit(args, _json_report(payload))
+    _emit(args, json_chunks(payload))
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -143,7 +145,7 @@ def _cmd_solve(args):
     print(f"solve: termination={result.termination.value} "
           f"iterations={result.iterations} "
           f"residual_max={result.residual_max:.6e}")
-    _emit(args, _json_report(payload))
+    _emit(args, json_chunks(payload))
     return EXIT_OK if result.converged else EXIT_VERIFY_FAILED
 
 
@@ -169,7 +171,7 @@ def _cmd_search(args):
     if args.format == "csv":
         _emit(args, _search_csv(report.classes))
     else:
-        _emit(args, _json_report({
+        _emit(args, json_chunks({
             "trials": args.trials,
             "rng_seed": args.seed,
             "converged": report.converged,
@@ -209,8 +211,8 @@ def _cmd_continue(args):
                          ([idx, *(row[c] for c in columns)]
                           for idx, row in enumerate(rows))))
     else:
-        _emit(args, _json_report({"a_target": args.a_target,
-                                  "steps": args.steps, "rows": rows}))
+        _emit(args, json_chunks({"a_target": args.a_target,
+                                 "steps": args.steps, "rows": rows}))
     return EXIT_OK if completed == args.steps else EXIT_VERIFY_FAILED
 
 
@@ -246,7 +248,7 @@ def _cmd_probe(args):
     if args.format == "csv":
         _emit(args, _probe_csv(omegas, reports))
     else:
-        _emit(args, _json_report(payload))
+        _emit(args, json_chunks(payload))
     return EXIT_OK
 
 
@@ -269,7 +271,7 @@ def _cmd_integrate(args):
              *traj.velocities[idx, body]]
             for idx in range(s) for body in range(n))))
     else:
-        _emit(args, _json_report({
+        _emit(args, json_chunks({
             "t_end": t_end,
             "tol": args.tol,
             "deviation": deviation,

@@ -2,21 +2,26 @@
 
 A document carries the problem description (dimension, exponent, masses,
 frequencies), optional candidate positions, and free-form metadata.
-Numbers round-trip bit-faithfully (shortest repr). Writes are atomic:
-temp file in the target directory, then rename.
+Numbers round-trip bit-faithfully (shortest repr). Documents and the CLI
+reports share one text format, 2-space-indented JSON with a final newline
+(`json_chunks`). Writes are atomic: a temp file in the target directory,
+created under the umask, then a rename. A text given as chunks is written
+in blocks as it is encoded, so it is never held whole in memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .errors import DocumentError
 from .model import Configuration, Problem, check_problem_config
 
 SCHEMA_VERSION = "1"
+
+_BLOCK = 512       # chunks joined into one write (about 12 KB of a report)
 
 _KEY_ORDER = ("schema_version", "dimension", "exponent", "masses",
               "frequencies", "positions", "metadata")
@@ -116,6 +121,12 @@ def load_document(path):
         return parse_document(handle.read())
 
 
+def json_chunks(payload):
+    """``json.dumps(payload, indent=2) + "\n"`` as the encoder's chunks."""
+    yield from json.JSONEncoder(indent=2).iterencode(payload)
+    yield "\n"
+
+
 def dumps_document(doc):
     """Canonical serialization: fixed key order, 2-space indent."""
     problem = doc.problem
@@ -130,16 +141,31 @@ def dumps_document(doc):
         payload["positions"] = doc.config.points.tolist()
     if doc.metadata:
         payload["metadata"] = doc.metadata
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(json_chunks(payload))
+
+
+def write_blocks(handle, text):
+    """Write ``text``, a str or an iterable of str, to ``handle``; chunks
+    are joined _BLOCK at a time, so each write is one bounded block."""
+    if isinstance(text, str):
+        handle.write(text)
+        return
+    chunks = iter(text)
+    while block := list(itertools.islice(chunks, _BLOCK)):
+        handle.write("".join(block))
 
 
 def write_text_atomic(path, text):
-    """Write via a temp file in the same directory, then rename."""
+    """Write ``text`` (see `write_blocks`) to a new temp file in the same
+    directory, then rename it over ``path``. The temp file is created with
+    mode 0o666, so the result has the permissions the umask gives a new
+    file; on any error it is removed and ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write_blocks(handle, text)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -1,6 +1,10 @@
+import contextlib
 import json
+import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,3 +488,99 @@ def test_out_path_in_missing_directory_is_io_error(two_body_doc, tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.json"
     assert main(["verify", str(two_body_doc), "--t-end", "0.5",
                  "--out", str(missing)]) == 3
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_out_file_follows_umask(umask, two_body_doc, tmp_path):
+    out = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        assert main(["solve", str(two_body_doc), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+class TestStreamedReports:
+    """Reports written in blocks keep the bytes of one whole-text write."""
+
+    @pytest.fixture(scope="class")
+    def ring16(self, tmp_path_factory):
+        # the 16-body rolling search of tools/cli_hashes.py: 83 classes,
+        # a report of about 21 000 encoder chunks, so many blocks
+        path = tmp_path_factory.mktemp("ring16") / "ring16.json"
+        save_document(path, ProblemDocument(Problem(2, [1.0] * 16, [1.0],
+                                                    -1.5)))
+        return path
+
+    def _search(self, ring16, capsys, *flags):
+        code = main(["search", str(ring16), "--trials", "100", "--seed",
+                     "3", *flags])
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_json_out_stdout_and_dump_agree(self, ring16, tmp_path, capsys):
+        out = tmp_path / "search.json"
+        self._search(ring16, capsys, "--out", str(out))
+        printed = self._search(ring16, capsys).split("\n", 1)[1]
+        written = out.read_text()
+        payload = json.loads(written)
+        assert len(payload["classes"]) > 50
+        assert written == printed
+        assert written == json.dumps(payload, indent=2) + "\n"
+
+    def test_csv_is_the_joined_text(self, ring16, tmp_path, capsys):
+        out = tmp_path / "search.json"
+        self._search(ring16, capsys, "--out", str(out))
+        classes = json.loads(out.read_text())["classes"]
+        printed = self._search(ring16, capsys, "--format", "csv")
+        fp = classes[0]["fingerprint"]
+        distances = len(fp["sorted_distances"])
+        norms = len(fp["sorted_mass_weighted_norms"])
+        lines = [",".join(["class", "hits", "iterations", "residual_max",
+                           *(f"d{i}" for i in range(distances)),
+                           *(f"w{i}" for i in range(norms))])]
+        for idx, cls in enumerate(classes):
+            fp = cls["fingerprint"]
+            lines.append(",".join([
+                str(idx), str(cls["hits"]), str(cls["iterations"]),
+                *(repr(float(x)) for x in [cls["residual_max"],
+                                           *fp["sorted_distances"],
+                                           *fp["sorted_mass_weighted_norms"]
+                                           ])]))
+        assert printed.split("\n", 1)[1] == "\n".join(lines) + "\n"
+
+
+class _Count:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_emit_memory_is_bounded(to_file, tmp_path):
+    # the shape of a cold n = 30 search report: 120 classes, each with 60
+    # coordinates and 465 + 30 fingerprint floats, about 2 MB of text
+    rng = np.random.default_rng(0)
+    payload = {"classes": [{"points": rng.random((30, 2)).tolist(),
+                            "sorted_distances": rng.random(465).tolist(),
+                            "sorted_norms": rng.random(30).tolist()}
+                           for _ in range(120)]}
+    out = tmp_path / "report.json"
+    args = cli._parser().parse_args(
+        ["search", "doc.json", *(["--out", str(out)] if to_file else [])])
+    sink = _Count()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            cli._emit(args, cli.json_chunks(payload))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size if to_file else sink.size
+    assert size >= 1_000_000
+    assert peak < size / 10, peak

@@ -12,7 +12,13 @@ from releq import (
     parse_document,
     save_document,
 )
-from releq.documents import load_document, write_text_atomic
+from releq import documents
+from releq.documents import (
+    json_chunks,
+    load_document,
+    write_blocks,
+    write_text_atomic,
+)
 
 import oracles
 
@@ -125,6 +131,64 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_text_atomic(path, "hello\n")
     write_text_atomic(path, "world\n")
     assert path.read_text() == "world\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+class _Writes:
+    """A text handle that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_str_is_written_as_one_piece():
+    text = "x" * (3 * documents._BLOCK + 1)
+    handle = _Writes()
+    write_blocks(handle, text)
+    assert handle.writes == [text]
+
+
+def test_chunks_are_written_in_bounded_blocks():
+    chunks = [str(i % 10) for i in range(2 * documents._BLOCK + 5)]
+    handle = _Writes()
+    write_blocks(handle, iter(chunks))
+    assert [len(w) for w in handle.writes] == [documents._BLOCK,
+                                               documents._BLOCK, 5]
+    assert "".join(handle.writes) == "".join(chunks)
+
+
+def test_json_chunks_are_the_indented_dump():
+    payload = {"a": [0.1, -2.5e-300, float("inf"), None, True],
+               "b": {"c": [], "d": {}, "e": "\u00e9"}, "f": 3}
+    assert "".join(json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_atomic_write_of_chunks(tmp_path):
+    path = tmp_path / "out.json"
+    chunks = [f"{i}\n" for i in range(3 * documents._BLOCK)]
+    write_text_atomic(path, (c for c in chunks))
+    assert path.read_text() == "".join(chunks)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_failure_mid_write_keeps_old_target(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    seen = []
+
+    def chunks():
+        yield from ["new\n"] * documents._BLOCK
+        # the first block went to the temp file before this raises
+        seen.extend(p.name for p in tmp_path.glob("*.tmp"))
+        raise RuntimeError("encoder failed")
+
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        write_text_atomic(path, chunks())
+    assert len(seen) == 1
+    assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
