@@ -7,7 +7,9 @@ Every pair quantity derives from one ``pair_geometry`` pass over a stack
 of configurations, shape (B, n, k): Q_j - Q_i and r^2 with an inf
 diagonal, where r^(2a) and r^(2a+1) vanish. The ``*_from`` kernels take
 that geometry, so the LM solver, which keeps each trial's, measures no
-pair twice. The force law is written once, in ``forces_from``. The
+pair twice; the integrator measures each stage into the buffers of one
+``pair_geometry_workspace`` and has ``forces_from`` write into its own.
+The force law is written once, in ``forces_from``. The
 one-configuration kernels (``accel``, ``residual_stack``,
 ``jacobian_dense``, ``pair_distances``, ``min_pair_distance``) measure a
 stack of one and give each member of a stack the bits the ``*_from``
@@ -27,27 +29,47 @@ def pair_geometry(positions):
     The squared distances are symmetric bit for bit: Q_i - Q_j is the
     exact negation of Q_j - Q_i.
     """
+    return _measure_pairs(*_pair_views(positions))
+
+
+def pair_geometry_workspace(positions):
+    """A callable that measures ``pair_geometry`` of ``positions``, as they
+    are when called, into its own two buffers through views built here."""
+    return functools.partial(_measure_pairs, *_pair_views(positions))
+
+
+def _pair_views(positions):
+    """New diff and r2 buffers for ``positions`` and the views that
+    ``_measure_pairs`` writes them through."""
     count, n, k = positions.shape
     diff = np.empty((count, n, n, k))
-    # iterated in C order of the [b, k, i, j] view, so the inner loop runs
-    # along j; numpy's own order runs it along k, a few entries long, and
-    # takes 3x as long at n = 30. Each entry is one subtraction either way.
+    r2 = np.empty((count, n, n))
+    # subtracted in C order of diff's [b, k, i, j] view, so the inner loop
+    # runs along j; numpy's own order runs it along k, a few entries long,
+    # and takes 3x as long at n = 30: one subtraction per entry either way.
     coords = positions.transpose(0, 2, 1)
-    np.subtract(coords[:, :, None, :], coords[:, :, :, None],
-                out=diff.transpose(0, 3, 1, 2), order="C")
-    r2 = np.einsum("bijk,bijk->bij", diff, diff)
-    r2.reshape(count, n * n)[:, :: n + 1] = np.inf
+    return (coords[:, :, None, :], coords[:, :, :, None],
+            diff.transpose(0, 3, 1, 2), diff, r2,
+            r2.reshape(count, n * n)[:, :: n + 1])
+
+
+def _measure_pairs(q_j, q_i, diff_kij, diff, r2, r2_diagonal):
+    np.subtract(q_j, q_i, out=diff_kij, order="C")
+    np.einsum("bijk,bijk->bij", diff, diff, out=r2)
+    r2_diagonal[...] = np.inf
     return diff, r2
 
 
 def min_distance_from(r2):
     """Smallest pairwise distance of each configuration; inf below 2 bodies."""
-    return np.sqrt(r2.min(axis=(1, 2), initial=np.inf))
+    return np.sqrt(np.minimum.reduce(r2, axis=(1, 2), initial=np.inf))
 
 
-def forces_from(diff, r2a, masses):
-    """sum_{j!=i} m_j (Q_j - Q_i) r2a_ij with r2a = r^(2a), shape (B, n, k)."""
-    return np.einsum("bij,bijk->bik", masses * r2a, diff)
+def forces_from(diff, r2a, masses, out=None, weights=None):
+    """sum_{j!=i} m_j (Q_j - Q_i) r2a_ij with r2a = r^(2a), shape (B, n, k),
+    into optional buffers: ``out`` and ``weights`` for m_j r2a_ij."""
+    weights = np.multiply(masses, r2a, out=weights)
+    return np.einsum("bij,bijk->bik", weights, diff, out=out)
 
 
 def jacobian_from(diff, r2, r2a, masses, asq, a):
@@ -73,7 +95,11 @@ def jacobian_from(diff, r2, r2a, masses, asq, a):
     diagonal = blocks.reshape(k, k, count, n * n)[..., :: n + 1]
     diagonal[...] = 0.0
     diagonal[...] = np.diag(asq)[:, :, None, None] - blocks.sum(axis=3)
-    return blocks.transpose(2, 4, 0, 3, 1).reshape(count, n * k, n * k)
+    # copied plane by plane, so each copy runs along n, not along k
+    jac = np.empty((count, n, k, n, k))
+    for c, d in np.ndindex(k, k):
+        jac[:, :, c, :, d] = blocks[c, d].transpose(0, 2, 1)
+    return jac.reshape(count, n * k, n * k)
 
 
 def accel(positions, masses, a):

@@ -4,11 +4,15 @@ verification that a candidate configuration really rotates rigidly.
 The force on body i is sum_{j!=i} m_j (q_j - q_i) |q_j - q_i|^(2a). The
 integrator is an adaptive Dormand-Prince 5(4) pair with PI step control;
 it aborts cleanly with a SingularityError when bodies approach collision,
-or when an accepted step carries a pair through one.
+or when an accepted step carries a pair through one. Each integration
+builds one workspace: every stage point, its pair geometry and its
+derivative are written into buffers allocated once, and the samples are
+copied out of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,8 @@ class PhaseState:
         vel = np.array(self.velocities, dtype=float)
         if pos.shape != vel.shape:
             raise ValueError("positions and velocities must share an (n, k) shape")
+        if not np.all(np.isfinite(vel)):
+            raise ValueError("velocities must be finite")
         vel.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
@@ -86,7 +92,10 @@ def _check_separation(pos, r2, time):
     """Raise SingularityError if the minimum distance of ``pos``, whose
     pair r^2 is the stack of one ``r2``, is below ``GUARD_RTOL`` times
     the scale max(1, max_i |q_i|)."""
-    scale = max(1.0, float(np.sqrt(np.sum(pos ** 2, axis=1)).max()))
+    # the ufunc reductions np.sum and .max() wrap, called directly: at
+    # small n their wrappers cost more than the arithmetic
+    norms = np.sqrt(np.add.reduce(pos * pos, axis=1))
+    scale = max(1.0, float(np.maximum.reduce(norms)))
     if _kernels.min_distance_from(r2)[0] < GUARD_RTOL * scale:
         if time is None:
             raise SingularityError("bodies too close: force evaluation aborted")
@@ -154,18 +163,21 @@ def _rms(q):
     return np.sqrt(np.add.reduce(q * q) / q.size)
 
 
-def _scaled_err(err_vec, y, y_new, tol):
-    sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(_rms(err_vec / sc))
+def _scaled_err(err_vec, y, y_new, tol, work):
+    """RMS of err_vec / (tol + tol max(|y|, |y_new|)), scaled in ``work``."""
+    sc = np.maximum(np.abs(y, out=work[0]), np.abs(y_new, out=work[1]),
+                    out=work[0])
+    sc *= tol
+    sc += tol
+    return float(_rms(np.divide(err_vec, sc, out=sc)))
 
 
-def _initial_step(derivative, y0, f0, tol):
+def _initial_step(derivative_at, y0, f0, tol):
     sc = tol + tol * np.abs(y0)
     d0 = _rms(y0 / sc)
     d1 = _rms(f0 / sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = np.empty_like(y0)
-    derivative(f1, y0 + h0 * f0)
+    f1 = derivative_at(y0 + h0 * f0)
     d2 = _rms((f1 - f0) / sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -227,21 +239,40 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     a = problem.a
     nk = n * k
 
-    def derivative(out, y):
-        """Write dy/dt at ``y`` into ``out``; return the pair geometry."""
-        diff, r2 = _kernels.pair_geometry(y[:nk].reshape(1, n, k))
-        out[:nk] = y[nk:]
-        out[nk:] = _kernels.forces_from(diff, r2 ** a, m).ravel()
+    # the workspace: each stage point is written into y_new, its geometry
+    # measured into measure_new's buffers and its dy/dt into its row of
+    # ``stages``. An accepted step swaps the points, so a rejected one
+    # leaves y, its geometry and stages[0], dy/dt at y, untouched.
+    stages = np.empty((7, 2 * nk))
+    stage_acc = stages[:, nk:].reshape(7, 1, n, k)
+    weights = np.empty((1, n, n))
+    stage_sum = np.empty(2 * nk)
+    err_work = np.empty((2, 2 * nk))
+    y, y_new = np.empty((2, 2 * nk))
+    measure, measure_new = [_kernels.pair_geometry_workspace(
+        point[:nk].reshape(1, n, k)) for point in (y, y_new)]
+
+    def derivative(s, point, measure):
+        """Write dy/dt at ``point`` into stages[s]; return its pair
+        geometry, which ``measure`` measures."""
+        diff, r2 = measure()
+        stages[s, :nk] = point[nk:]
+        np.power(r2, a, out=weights)
+        _kernels.forces_from(diff, weights, m, out=stage_acc[s],
+                             weights=weights)
         return diff, r2
 
-    y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
+    def probe(y1):
+        # measured at y_new, into stage 1; the first step overwrites both
+        y_new[...] = y1
+        derivative(1, y_new, measure_new)
+        return stages[1]
+
+    y[:nk], y[nk:] = initial.positions.ravel(), initial.velocities.ravel()
     t = t0
-    # stages[0] is dy/dt at y, and diff is Q_j - Q_i at y; a rejected step
-    # leaves both untouched
-    stages = np.empty((7, 2 * nk))
-    diff, r2 = derivative(stages[0], y)
+    diff, r2 = derivative(0, y, measure)
     _check_separation(initial.positions, r2, t)
-    h = min(_initial_step(derivative, y, stages[0], tol), t_end - t0)
+    h = min(_initial_step(probe, y, stages[0], tol), t_end - t0)
     err_old = 1e-4
     stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
     stages_t = stages.T
@@ -259,20 +290,24 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
                 )
             try:
                 for s, (prev, coef) in enumerate(stage_rows, 1):
-                    y_new = y + h_step * (prev @ coef)
-                    diff_new, r2_new = derivative(stages[s], y_new)
+                    np.matmul(prev, coef, out=stage_sum)
+                    stage_sum *= h_step
+                    np.add(y, stage_sum, out=y_new)
+                    diff_new, r2_new = derivative(s, y_new, measure_new)
                 # FSAL: the last stage point is the new state, and its
                 # stage is dy/dt there
-                err_vec = h_step * (stages_t @ _DP_E)
-                err = _scaled_err(err_vec, y, y_new, tol)
+                np.matmul(stages_t, _DP_E, out=stage_sum)
+                stage_sum *= h_step
+                err = _scaled_err(stage_sum, y, y_new, tol, err_work)
             except FloatingPointError:
                 err = np.inf
-            if not np.isfinite(err):
+            if not math.isfinite(err):
                 h = 0.1 * h_step
                 continue
             if err <= 1.0:
                 t = t + h_step
-                y = y_new
+                y, y_new = y_new, y
+                measure, measure_new = measure_new, measure
                 stages[0] = stages[6]
                 fac = _SAFETY * err ** -_PI_EXPO * err_old ** _PI_BETA \
                     if err > 0.0 else _MAX_FACTOR

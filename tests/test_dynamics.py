@@ -16,7 +16,7 @@ from releq import (
     rotation_matrix,
     save_document,
 )
-from releq import _kernels
+from releq import _kernels, dynamics
 from releq.cli import main
 
 import oracles
@@ -33,6 +33,80 @@ def eccentric_kepler():
     state = PhaseState([[0.5, 0.0], [-0.5, 0.0]], [[0.0, 0.3], [0.0, -0.3]])
     semi_major = 1.0 / (2.0 - 0.6 ** 2 / 2.0)
     return prob, state, 2 * np.pi * np.sqrt(semi_major ** 3 / 2.0)
+
+
+def plain_dp5(initial, problem, t_end, tol):
+    """``integrate``'s steps written plainly, with a new array for every
+    stage and no collision checks, sampled at the default 65 times."""
+    n, k = problem.n, problem.k
+    nk = n * k
+
+    def f(y):
+        acc = _kernels.accel(y[:nk].reshape(n, k), problem.masses, problem.a)
+        return np.concatenate([y[nk:], acc.ravel()])
+
+    def rms(q):
+        return np.sqrt(np.add.reduce(q * q) / q.size)
+
+    samples = np.linspace(initial.time, t_end, 65)
+    t = initial.time
+    y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
+    f0 = f(y)
+    sc = tol + tol * np.abs(y)
+    d0, d1 = rms(y / sc), rms(f0 / sc)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    d2 = rms((f(y + h0 * f0) - f0) / sc) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** 0.2
+    h = min(100.0 * h0, h1, t_end - t)
+    err_old = 1e-4
+    positions, velocities = [], []
+    for target in samples:
+        while t < target:
+            h_step = min(h, target - t)
+            stages = [f0]
+            for s in range(1, 7):
+                prev = np.array(stages).T
+                y_new = y + h_step * (prev @ dynamics._DP_A[s, :s])
+                stages.append(f(y_new))
+            err_vec = h_step * (np.array(stages).T @ dynamics._DP_E)
+            sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(rms(err_vec / sc))
+            if err <= 1.0:
+                t, y, f0 = t + h_step, y_new, stages[6]
+                fac = dynamics._SAFETY * err ** -dynamics._PI_EXPO \
+                    * err_old ** dynamics._PI_BETA \
+                    if err > 0.0 else dynamics._MAX_FACTOR
+                h = h_step * min(dynamics._MAX_FACTOR,
+                                 max(dynamics._MIN_FACTOR, fac))
+                err_old = max(err, 1e-4)
+                if target - t < 1e-14 * max(1.0, abs(target)):
+                    t = target
+            else:
+                h = h_step * max(dynamics._MIN_FACTOR,
+                                 dynamics._SAFETY * err ** -dynamics._PI_EXPO)
+        positions.append(y[:nk].reshape(n, k))
+        velocities.append(y[nk:].reshape(n, k))
+    return samples, np.array(positions), np.array(velocities)
+
+
+def pinned_cases():
+    """(problem, initial state, t_end, tol) of the integrator bit pins."""
+    rho = oracles.ngon_circumradius(3, 1.0, 1.0, -1.5)
+    trigon = oracles.ngon_points(3, rho)
+    cases = []
+    for k in (2, 3):
+        prob = Problem(k, [1.0, 1.0, 1.0], [1.0], -1.5)
+        cfg = Configuration([[x, y] + [0.0] * (k - 2) for x, y in trigon])
+        cases.append((prob, rigid_rotation_state(cfg, prob), 2 * np.pi, 1e-10))
+    prob = Problem(4, [1.0, 2.0, 1.0, 0.5], [1.0, 1.5], -1.5)
+    cfg = Configuration([[1.0, 0.0, 0.0, 0.3], [0.0, 1.0, 0.2, 0.0],
+                         [-1.0, 0.1, 0.0, -0.3], [0.0, -1.0, -0.2, 0.1]])
+    cases.append((prob, rigid_rotation_state(cfg, prob), 2 * np.pi / 1.5,
+                   1e-10))
+    prob, state, period = eccentric_kepler()
+    cases.append((prob, state, period, 1e-6))
+    return cases
 
 
 class TestAcceleration:
@@ -175,27 +249,41 @@ class TestIntegrate:
                                                     monkeypatch):
         # each stage measures its point once, and every state is guarded
         # from its own stage's r^2: the initial state from stage 0, an
-        # accepted one from its last stage, however many steps are rejected
+        # accepted one from its last stage, however many steps are rejected.
+        # Every pair-geometry measurement, one-shot or into a workspace,
+        # is one _measure_pairs call.
         if case == "trigon":
             prob, cfg = trigon
             state, t_end = rigid_rotation_state(cfg, prob), 2 * np.pi
         else:
             prob, state, t_end = eccentric_kepler()
-        calls = {"pair_geometry": 0, "forces_from": 0}
+        calls = {"_measure_pairs": 0, "forces_from": 0}
 
         def counted(name):
             kernel = getattr(_kernels, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return kernel(*args)
+                return kernel(*args, **kwargs)
             return wrapper
 
         for name in calls:
             monkeypatch.setattr(_kernels, name, counted(name))
         integrate(state, prob, t_end, 1e-6)
         assert calls["forces_from"] > 0
-        assert calls["pair_geometry"] == calls["forces_from"]
+        assert calls["_measure_pairs"] == calls["forces_from"]
+
+    @pytest.mark.parametrize("case", range(4),
+                             ids=["trigon", "odd_k", "k4", "eccentric"])
+    def test_bits_match_plain_stepping(self, case):
+        # the workspace buffers change where each stage is written, never
+        # what is computed: every sample equals the plain stepping's bits
+        prob, state, t_end, tol = pinned_cases()[case]
+        traj = integrate(state, prob, t_end, tol)
+        times, positions, velocities = plain_dp5(state, prob, t_end, tol)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.positions, positions)
+        assert np.array_equal(traj.velocities, velocities)
 
     def test_energy_drift(self, two_body):
         prob, cfg = two_body
@@ -377,6 +465,12 @@ def test_trajectory_csv_layout(two_body, tmp_path, capsys):
     last = [float(x) for x in lines[-1].split(",")]
     assert last == [traj.times[2], 1.0, *traj.positions[2, 1],
                     *traj.velocities[2, 1]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phase_state_rejects_non_finite_velocities(bad):
+    with pytest.raises(ValueError, match="velocities must be finite"):
+        PhaseState([[0.5, 0.0], [-0.5, 0.0]], [[0.0, bad], [0.0, 1.0]])
 
 
 def test_phase_state_collision_rejected():

@@ -79,11 +79,16 @@ SOLVER_FLAGS = {
 }
 
 
+def _integrator_lines(path):
+    """The verify and integrate lines, which run the integrator."""
+    return [["verify", path], ["verify", path, "--samples", "4"],
+            ["integrate", path, "--samples", "4"],
+            ["integrate", path, "--samples", "4", "--format", "csv"]]
+
+
 def _command_lines(path):
     """Every command line run on the document at ``path``."""
-    lines = [["verify", path], ["verify", path, "--samples", "4"],
-             ["integrate", path, "--samples", "4"],
-             ["integrate", path, "--samples", "4", "--format", "csv"]]
+    lines = _integrator_lines(path)
     for flags in SOLVER_FLAGS.values():
         lines.append(["solve", path, *flags])
         for fmt in ("json", "csv"):
@@ -118,6 +123,22 @@ def _command_lines(path):
 ROLLING = ("ring16", {"schema_version": "1", "dimension": 2,
                       "exponent": -1.5, "masses": [1.0] * 16,
                       "frequencies": [1.0]})
+
+
+def _maxwell_ring(count, central_mass, a):
+    """A central mass and ``count`` unit masses on a ring, rotating at rate
+    1: omega^2 = rho^(2a) (M + 2^(2a+1) S), S = sum_j sin^(2a+2)(pi j/n)."""
+    s = sum(math.sin(math.pi * j / count) ** (2.0 * a + 2.0)
+            for j in range(1, count))
+    rho = (1.0 / (central_mass + 2.0 ** (2.0 * a + 1.0) * s)) \
+        ** (1.0 / (2.0 * a))
+    return {"schema_version": "1", "dimension": 2, "exponent": a,
+            "masses": [central_mass] + [1.0] * count, "frequencies": [1.0],
+            "positions": [[0.0, 0.0]] + _ngon(count, rho)}
+
+
+# the integrator at more than 8 bodies
+MAXWELL = ("maxwell8", _maxwell_ring(8, 1000.0, -1.5))
 
 
 def _rolling_lines(path):
@@ -157,7 +178,8 @@ def main():
         out_path = os.path.join(tmp, "report.out")
         runs = [(name, raw, _command_lines)
                 for name, raw in _documents().items()]
-        for name, raw, command_lines in [*runs, (*ROLLING, _rolling_lines)]:
+        runs += [(*MAXWELL, _integrator_lines), (*ROLLING, _rolling_lines)]
+        for name, raw, command_lines in runs:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(raw, handle)
