@@ -10,12 +10,12 @@ that geometry, so the LM solver, which keeps each trial's, measures no
 pair twice; the integrator measures each stage into the buffers of one
 ``pair_geometry_workspace`` and has ``forces_from`` write into its own.
 The force law is written once, in ``forces_from``. The
-one-configuration kernels (``accel``, ``residual_stack``,
-``jacobian_dense``, ``pair_distances``, ``min_pair_distance``) measure a
-stack of one and give each member of a stack the bits the ``*_from``
-kernels give it. The Jacobian is assembled on (B, n, n) coordinate
-planes laid out [b, j, i], and its diagonal blocks sum over the strided
-j axis, which numpy adds in ascending body order.
+one-configuration kernels (``accel``, the tests' and the benchmark's
+reference, ``residual_stack``, ``jacobian_dense``, ``pair_distances``,
+``min_pair_distance``) measure a stack of one and give the bits the
+``*_from`` kernels give a stack's member. The Jacobian is assembled on
+(B, n, n) coordinate planes laid out [b, j, i]; its diagonal blocks sum
+over the strided j axis, which numpy adds in ascending body order.
 """
 
 import functools
@@ -140,17 +140,6 @@ def pair_indices(n):
     iu.setflags(write=False)
     ju.setflags(write=False)
     return iu, ju
-
-
-def potential(positions, masses, a):
-    """Potential whose negative q_i-gradient is m_i times the acceleration."""
-    iu, ju = pair_indices(positions.shape[0])
-    r = np.sqrt(np.sum((positions[iu] - positions[ju]) ** 2, axis=1))
-    if a == -1.0:
-        phi = np.log(r)
-    else:
-        phi = r ** (2.0 * a + 2.0) / (2.0 * a + 2.0)
-    return float(np.sum(masses[iu] * masses[ju] * phi))
 
 
 def backend():

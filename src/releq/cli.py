@@ -90,12 +90,10 @@ def _horizon(problem, t_end):
 
 
 def _solve_options(args):
-    """The SolveOptions of the solver flags given; the others keep defaults."""
-    given = {"tol_res": args.tol, "damping_init": args.damping_init,
-             "damping_grow": args.damping_grow,
-             "damping_shrink": args.damping_shrink}
-    return SolveOptions(**{name: value for name, value in given.items()
-                           if value is not None})
+    """The SolveOptions of the four solver flags, which default to its own."""
+    return SolveOptions(tol_res=args.tol, damping_init=args.damping_init,
+                        damping_grow=args.damping_grow,
+                        damping_shrink=args.damping_shrink)
 
 
 # ----------------------------------------------------------------------
@@ -302,13 +300,16 @@ def build_parser():
                            default="json")
 
     def add_solver_flags(p):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=SolveOptions.tol_res,
                        help="relative residual tolerance (default 1e-12)")
-        p.add_argument("--damping-init", type=float, default=None,
+        p.add_argument("--damping-init", type=float,
+                       default=SolveOptions.damping_init,
                        help="initial LM damping (default 1e-3)")
-        p.add_argument("--damping-grow", type=float, default=None,
+        p.add_argument("--damping-grow", type=float,
+                       default=SolveOptions.damping_grow,
                        help="damping factor on rejected steps (default 10)")
-        p.add_argument("--damping-shrink", type=float, default=None,
+        p.add_argument("--damping-shrink", type=float,
+                       default=SolveOptions.damping_shrink,
                        help="damping factor on accepted steps (default 0.5)")
 
     def add_jobs_flag(p):

@@ -61,17 +61,11 @@ class ClusterDiagnostics:
         }
 
 
-def _checked_points(config, problem):
-    # A Configuration is collision-free by construction; only the shape
-    # can disagree with the problem.
-    check_problem_config(problem, config)
-    return _kernels.as_input(config.points)
-
-
 def residual(config, problem):
     """Evaluate the balance defect; zero iff ``config`` is an equilibrium."""
-    pos = _checked_points(config, problem)
-    per_body = _kernels.residual_stack(pos, problem.masses, problem.asq, problem.a)
+    check_problem_config(problem, config)
+    per_body = _kernels.residual_stack(config.points, problem.masses,
+                                       problem.asq, problem.a)
     norms = np.sqrt(np.sum(per_body ** 2, axis=1))
     rms = float(np.sqrt(np.mean(per_body ** 2)))
     return ResidualReport(per_body, float(norms.max()), rms)
@@ -83,7 +77,8 @@ def residual_scale(config, problem):
     max(1, largest point norm, largest single term entering any F_i); the
     force terms span many orders of magnitude once a < -1/2.
     """
-    pos = _checked_points(config, problem)[None]
+    check_problem_config(problem, config)
+    pos = config.points[None]
     _, r2 = _kernels.pair_geometry(pos)
     return float(residual_scale_batch(pos, r2, problem)[0])
 
@@ -112,8 +107,9 @@ def jacobian(config, problem):
     u = Q_i - Q_j; the diagonal block is Asq minus the sum of the other
     blocks in its row. Matches central finite differences of ``residual``.
     """
-    pos = _checked_points(config, problem)
-    return _kernels.jacobian_dense(pos, problem.masses, problem.asq, problem.a)
+    check_problem_config(problem, config)
+    return _kernels.jacobian_dense(config.points, problem.masses,
+                                   problem.asq, problem.a)
 
 
 def _cluster_sums(config, problem):
@@ -123,8 +119,8 @@ def _cluster_sums(config, problem):
     ``r2 ** a`` that ``forces_from`` contracts. S[i, l] = sum_{j >= l}
     P[i, j] has shape (n, n + 1, k), with the empty sums S[:, n] = 0.
     """
-    pos = _checked_points(config, problem)
-    n = problem.n
+    check_problem_config(problem, config)
+    pos, n = config.points, problem.n
     diff, r2 = _kernels.pair_geometry(pos[None])
     # diff[i, j] is Q_j - Q_i, so its transpose holds Q_i - Q_j; the inf
     # diagonal gives r^(2a) = 0 there

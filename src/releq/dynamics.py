@@ -1,13 +1,14 @@
 """Equations of motion, conserved-quantity diagnostics, and direct ODE
 verification that a candidate configuration really rotates rigidly.
 
-The force on body i is sum_{j!=i} m_j (q_j - q_i) |q_j - q_i|^(2a). The
-integrator is an adaptive Dormand-Prince 5(4) pair with PI step control;
-it aborts cleanly with a SingularityError when bodies approach collision,
-or when an accepted step carries a pair through one. Each integration
-builds one workspace: every stage point, its pair geometry and its
-derivative are written into buffers allocated once, and the samples are
-copied out of them.
+The force on body i is sum_{j!=i} m_j (q_j - q_i) |q_j - q_i|^(2a);
+``acceleration`` and ``potential_energy`` read their guard's pair
+geometry. The integrator is an adaptive Dormand-Prince 5(4) pair with PI
+step control; it aborts cleanly with a SingularityError when bodies
+approach collision, or when an accepted step carries a pair through one.
+Each integration builds one workspace: every stage point, its pair
+geometry and its derivative are written into buffers allocated once, and
+the samples are copied out of them.
 """
 
 from __future__ import annotations
@@ -77,15 +78,16 @@ class Trajectory:
 
 
 def _guard_positions(positions, problem):
-    """Shape-checked kernel input; raises SingularityError on near-collision."""
+    """Pair geometry of ``positions``, checked for shape and near-collision."""
     pos = _kernels.as_input(positions)
     if pos.shape != (problem.n, problem.k):
         raise ValueError(
             f"positions shape {pos.shape} does not match problem "
             f"(n={problem.n}, k={problem.k})"
         )
-    _check_separation(pos, _kernels.pair_geometry(pos[None])[1], None)
-    return pos
+    diff, r2 = _kernels.pair_geometry(pos[None])
+    _check_separation(pos, r2, None)
+    return diff, r2
 
 
 def _check_separation(pos, r2, time):
@@ -106,8 +108,8 @@ def _check_separation(pos, r2, time):
 
 def acceleration(positions, problem):
     """Acceleration of every body, shape (n, k)."""
-    pos = _guard_positions(positions, problem)
-    return _kernels.accel(pos, problem.masses, problem.a)
+    diff, r2 = _guard_positions(positions, problem)
+    return _kernels.forces_from(diff, r2 ** problem.a, problem.masses)[0]
 
 
 def potential_energy(positions, problem):
@@ -116,14 +118,17 @@ def potential_energy(positions, problem):
     For a != -1 this is sum_{i<j} m_i m_j r^(2a+2)/(2a+2); the 2a+2 = 0
     case (a = -1) degenerates to sum_{i<j} m_i m_j ln r.
     """
-    pos = _guard_positions(positions, problem)
-    return _kernels.potential(pos, problem.masses, problem.a)
+    _, r2 = _guard_positions(positions, problem)
+    iu, ju = _kernels.pair_indices(problem.n)
+    r = np.sqrt(r2[0, iu, ju])
+    a, m = problem.a, problem.masses
+    phi = np.log(r) if a == -1.0 else r ** (2.0 * a + 2.0) / (2.0 * a + 2.0)
+    return float(np.sum(m[iu] * m[ju] * phi))
 
 
 def conserved_quantities(state, problem):
     """Energy, momentum and angular momentum of a phase state."""
-    pos = np.asarray(state.positions, dtype=float)
-    vel = np.asarray(state.velocities, dtype=float)
+    pos, vel = state.positions, state.velocities
     m = problem.masses
     kinetic = 0.5 * float(np.sum(m * np.sum(vel ** 2, axis=1)))
     energy = kinetic + potential_energy(pos, problem)
@@ -136,7 +141,6 @@ def conserved_quantities(state, problem):
 # Dormand-Prince 5(4) embedded pair, FSAL, PI step control
 # ----------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 # the last row is also the 5th-order solution's weights (FSAL)
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],

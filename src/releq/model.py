@@ -114,7 +114,7 @@ class Configuration:
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", points)
         max_norm = float(np.sqrt(np.sum(points ** 2, axis=1)).max())
-        min_dist = _kernels.min_pair_distance(_kernels.as_input(points))
+        min_dist = _kernels.min_pair_distance(points)
         if not min_dist > COLLISION_RTOL * (1.0 + max_norm):
             raise ValueError(
                 f"colliding configuration: min pairwise distance {min_dist:.3e}"

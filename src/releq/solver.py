@@ -198,7 +198,7 @@ def _doubled(stack):
 def fingerprint(config, problem):
     """Signature used to deduplicate equilibria up to rotation/relabeling."""
     check_problem_config(problem, config)
-    pts = _kernels.as_input(config.points)
+    pts = config.points
     dist = _kernels.pair_distances(pts)
     sorted_distances = np.sort(dist[_kernels.pair_indices(problem.n)])
     norms = np.sqrt(np.sum(pts ** 2, axis=1))

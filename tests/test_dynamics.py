@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -16,11 +19,13 @@ from releq import (
     rotation_matrix,
     save_document,
 )
-from releq import _kernels, dynamics
+from releq import _kernels, criterion, dynamics
 from releq.cli import main
 
 import oracles
 from conftest import random_config
+
+NEAR_COLLISION = "^bodies too close: force evaluation aborted$"
 
 
 def eccentric_kepler():
@@ -144,11 +149,39 @@ class TestAcceleration:
     def test_collision_raises(self):
         prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
         pts = np.array([[0.0, 0.0], [1e-10, 0.0]])
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError, match=NEAR_COLLISION):
             acceleration(pts, prob)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bits_match_reference_kernel(self, k):
+        # the guard's geometry, not a second measurement, gives the
+        # reference kernel's bits
+        rng = np.random.default_rng(23 + k)
+        prob = Problem(k, [1.0, 2.5, 0.7, 1.1, 0.4],
+                       [0.9, 1.3][:k // 2], -1.5)
+        pts = random_config(rng, 5, k).points
+        assert np.array_equal(acceleration(pts, prob),
+                              _kernels.accel(pts, prob.masses, prob.a))
 
 
 class TestPotential:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("a", [-0.75, -1.0, -1.5, -2.0])
+    def test_matches_pairwise_sum(self, k, a):
+        # relative to the sum of the terms' magnitudes, as the log terms
+        # of a = -1 can cancel
+        rng = np.random.default_rng(30 + k)
+        prob = Problem(k, [1.0, 2.0, 0.5, 1.5], [1.0, 0.7][:k // 2], a)
+        pts = random_config(rng, 4, k).points
+        terms = []
+        for i, j in itertools.combinations(range(4), 2):
+            r = math.dist(pts[i], pts[j])
+            phi = math.log(r) if a == -1.0 else r ** (2 * a + 2) / (2 * a + 2)
+            terms.append(prob.masses[i] * prob.masses[j] * phi)
+        got = potential_energy(pts, prob)
+        assert abs(got - math.fsum(terms)) \
+            <= 1e-13 * math.fsum(abs(t) for t in terms)
+
     def test_newtonian_value(self):
         prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
         pts = np.array([[0.5, 0.0], [-0.5, 0.0]])
@@ -158,6 +191,12 @@ class TestPotential:
         prob = Problem(2, [1.0, 1.0], [1.0], -1.0)
         pts = np.array([[0.5, 0.0], [-0.5, 0.0]])
         assert potential_energy(pts, prob) == pytest.approx(0.0, abs=1e-15)
+
+    def test_collision_raises(self):
+        prob = Problem(2, [1.0, 1.0], [1.0], -1.5)
+        pts = np.array([[0.0, 0.0], [1e-10, 0.0]])
+        with pytest.raises(SingularityError, match=NEAR_COLLISION):
+            potential_energy(pts, prob)
 
     @pytest.mark.parametrize("a", [-0.75, -1.0, -1.5, -2.0])
     def test_gradient_matches_force(self, a):
@@ -486,3 +525,25 @@ def test_phase_state_collision_rejected():
 def test_phase_state_validated_as_configuration(positions, velocities):
     with pytest.raises(ValueError):
         PhaseState(positions, velocities)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda cfg, prob: acceleration(cfg.points, prob),
+    lambda cfg, prob: potential_energy(cfg.points, prob),
+    criterion.residual, criterion.residual_scale, criterion.jacobian,
+], ids=["acceleration", "potential_energy", "residual", "residual_scale",
+        "jacobian"])
+def test_one_geometry_pass_per_static_evaluation(evaluate, trigon,
+                                                 monkeypatch):
+    # a static evaluation, its collision guard included, measures its
+    # point set's pair geometry once
+    prob, cfg = trigon
+    calls = []
+    measure = _kernels._measure_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return measure(*args)
+    monkeypatch.setattr(_kernels, "_measure_pairs", counted)
+    evaluate(cfg, prob)
+    assert len(calls) == 1
