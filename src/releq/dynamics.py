@@ -9,6 +9,11 @@ approach collision, or when an accepted step carries a pair through one.
 Each integration builds one workspace: every stage point, its pair
 geometry and its derivative are written into buffers allocated once, and
 the samples are copied out of them.
+
+``integrate`` works in the fixed frame. ``rigid_rotation_trajectory``
+and ``relative_equilibrium_deviation`` run the same loop in the frame
+that rotates at the problem's rates, where a relative equilibrium is a
+fixed point, and map the samples back to the fixed frame.
 """
 
 from __future__ import annotations
@@ -191,7 +196,8 @@ def _initial_step(derivative_at, y0, f0, tol):
 
 
 def integrate(initial, problem, t_end, tol, sample_times=None):
-    """Integrate the equations of motion from ``initial`` up to ``t_end``.
+    """Integrate the equations of motion in the fixed frame from
+    ``initial`` up to ``t_end``.
 
     Parameters
     ----------
@@ -218,9 +224,20 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     SingularityError
         On near-collision or step-size underflow; carries the failure time.
     """
+    return _dormand_prince(initial.positions, initial.velocities,
+                           initial.time, problem, t_end, tol, sample_times,
+                           None)
+
+
+def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
+                    sample_times, generator):
+    """``integrate`` from ``positions`` and ``velocities`` at ``t0``, in the
+    fixed frame if ``generator`` is None, else in the frame that rotates
+    with x = R(t)^T q, R' = G R, for ``generator`` G: there each body also
+    feels the centrifugal asq*x and the Coriolis -2 x' G^T, and the start
+    and the samples are (x, x')."""
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
-    t0 = initial.time
     t_end = float(t_end)
     if not t0 < t_end < np.inf:
         raise ValueError("t_end must be finite and exceed the initial time")
@@ -237,7 +254,7 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
         raise ValueError("sample_times must lie within [initial.time, t_end]")
 
     n, k = problem.n, problem.k
-    if initial.positions.shape != (n, k):
+    if positions.shape != (n, k):
         raise ValueError("initial state does not match the problem shape")
     m = problem.masses
     a = problem.a
@@ -255,6 +272,10 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     y, y_new = np.empty((2, 2 * nk))
     measure, measure_new = [_kernels.pair_geometry_workspace(
         point[:nk].reshape(1, n, k)) for point in (y, y_new)]
+    if generator is not None:
+        # (x, x') @ (diag(asq), -2 G^T): the centrifugal and Coriolis terms
+        frame = np.stack([np.diag(problem.asq), -2.0 * generator.T])
+        frame_terms = np.empty((2, n, k))
 
     def derivative(s, point, measure):
         """Write dy/dt at ``point`` into stages[s]; return its pair
@@ -262,8 +283,12 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
         diff, r2 = measure()
         stages[s, :nk] = point[nk:]
         np.power(r2, a, out=weights)
-        _kernels.forces_from(diff, weights, m, out=stage_acc[s],
-                             weights=weights)
+        acc = _kernels.forces_from(diff, weights, m, out=stage_acc[s],
+                                   weights=weights)
+        if generator is not None:
+            np.matmul(point.reshape(2, n, k), frame, out=frame_terms)
+            acc += frame_terms[0]
+            acc += frame_terms[1]
         return diff, r2
 
     def probe(y1):
@@ -272,10 +297,10 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
         derivative(1, y_new, measure_new)
         return stages[1]
 
-    y[:nk], y[nk:] = initial.positions.ravel(), initial.velocities.ravel()
+    y[:nk], y[nk:] = positions.ravel(), velocities.ravel()
     t = t0
     diff, r2 = derivative(0, y, measure)
-    _check_separation(initial.positions, r2, t)
+    _check_separation(positions, r2, t)
     h = min(_initial_step(probe, y, stages[0], tol), t_end - t0)
     err_old = 1e-4
     stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
@@ -356,18 +381,30 @@ def rigid_rotation_trajectory(config, problem, t_end, samples=32, tol=1e-10):
     """Integrated motion from ``rigid_rotation_state`` of ``config``.
 
     The motion is sampled at ``samples`` + 1 uniform times in [0, t_end];
-    ``samples`` must be >= 1.
+    ``samples`` must be >= 1. It is integrated in the frame that rotates
+    at the problem's rates, where ``config`` starts at rest and stays
+    there if it is a relative equilibrium, so the step size is bounded by
+    the sample spacing rather than by the rotation. The samples are
+    mapped back to the fixed frame: q = x R(t)^T, v = (x' + x G^T) R(t)^T.
     """
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    state = rigid_rotation_state(config, problem)
+    check_problem_config(problem, config)
+    gen = rotation_generator(problem.frequencies, problem.k)
     times = np.linspace(0.0, float(t_end), samples + 1)
-    return integrate(state, problem, t_end, tol, sample_times=times)
+    rotating = _dormand_prince(config.points, np.zeros_like(config.points),
+                               0.0, problem, t_end, tol, times, gen)
+    rot_t = np.stack([rotation_matrix(problem.frequencies, t, problem.k).T
+                      for t in rotating.times])
+    x, x_dot = rotating.positions, rotating.velocities
+    return Trajectory(rotating.times, x @ rot_t, (x_dot + x @ gen.T) @ rot_t)
 
 
 def relative_equilibrium_deviation(config, problem, t_end, samples=32, tol=1e-10):
     """Max gap between the integrated motion and rigid rotation of ``config``,
-    over the samples of ``rigid_rotation_trajectory``."""
+    over the samples of ``rigid_rotation_trajectory``, which integrates in
+    the co-rotating frame; in exact arithmetic the gap is that frame's
+    max |x_i(t) - Q_i|."""
     trajectory = rigid_rotation_trajectory(config, problem, t_end, samples, tol)
     return rigid_rotation_gap(trajectory, config, problem)

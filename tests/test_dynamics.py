@@ -283,7 +283,7 @@ class TestIntegrate:
         traj = integrate(state, prob, period, 1e-6, sample_times=[period])
         assert np.abs(traj.positions[-1] - state.positions).max() < 1e-4
 
-    @pytest.mark.parametrize("case", ["trigon", "eccentric"])
+    @pytest.mark.parametrize("case", ["trigon", "eccentric", "co-rotating"])
     def test_one_geometry_pass_per_force_evaluation(self, case, trigon,
                                                     monkeypatch):
         # each stage measures its point once, and every state is guarded
@@ -291,11 +291,18 @@ class TestIntegrate:
         # accepted one from its last stage, however many steps are rejected.
         # Every pair-geometry measurement, one-shot or into a workspace,
         # is one _measure_pairs call.
-        if case == "trigon":
-            prob, cfg = trigon
-            state, t_end = rigid_rotation_state(cfg, prob), 2 * np.pi
+        prob, cfg = trigon
+        if case == "co-rotating":
+            def run():
+                dynamics.rigid_rotation_trajectory(cfg, prob, 2 * np.pi, 16)
         else:
-            prob, state, t_end = eccentric_kepler()
+            if case == "trigon":
+                state, t_end = rigid_rotation_state(cfg, prob), 2 * np.pi
+            else:
+                prob, state, t_end = eccentric_kepler()
+
+            def run():
+                integrate(state, prob, t_end, 1e-6)
         calls = {"_measure_pairs": 0, "forces_from": 0}
 
         def counted(name):
@@ -308,9 +315,14 @@ class TestIntegrate:
 
         for name in calls:
             monkeypatch.setattr(_kernels, name, counted(name))
-        integrate(state, prob, t_end, 1e-6)
+        run()
         assert calls["forces_from"] > 0
         assert calls["_measure_pairs"] == calls["forces_from"]
+        if case == "co-rotating":
+            # at rest in the co-rotating frame the step is bounded by the
+            # sample spacing; the fixed-frame run follows the rotation
+            # with 890 force evaluations
+            assert calls["forces_from"] <= 250
 
     @pytest.mark.parametrize("case", range(4),
                              ids=["trigon", "odd_k", "k4", "eccentric"])
@@ -463,12 +475,40 @@ class TestDeviation:
     def test_exact_two_body(self, two_body):
         prob, cfg = two_body
         dev = relative_equilibrium_deviation(cfg, prob, 2 * np.pi)
-        assert dev < 1e-6
+        assert dev < 1e-12
 
     def test_exact_trigon(self, trigon):
         prob, cfg = trigon
         dev = relative_equilibrium_deviation(cfg, prob, 2 * np.pi)
-        assert dev < 1e-6
+        assert dev < 1e-12
+
+    @pytest.mark.parametrize("case", ["scaled_pair", "perturbed_6gon", "k4",
+                                      "random_k3"])
+    def test_frames_agree(self, case, two_body):
+        # the co-rotating integration, mapped back, reports the gap of the
+        # fixed-frame one on motions that leave the rigid rotation
+        if case == "scaled_pair":
+            prob, cfg = two_body
+            cfg = Configuration(cfg.points * 1.5)
+        elif case == "perturbed_6gon":
+            prob = Problem(2, [1.0] * 6, [1.0], -1.5)
+            rho = oracles.ngon_circumradius(6, 1.0, 1.0, -1.5)
+            points = np.array(oracles.ngon_points(6, rho))
+            rng = np.random.default_rng(0)
+            cfg = Configuration(points + 1e-6 * rng.normal(size=points.shape))
+        elif case == "k4":
+            prob, state, _, _ = pinned_cases()[2]
+            cfg = Configuration(state.positions)
+        else:
+            prob = Problem(3, [1.0, 2.0, 0.5, 1.5], [1.0], -1.5)
+            cfg = random_config(np.random.default_rng(4), 4, 3)
+        t_end, samples, tol = 2 * np.pi / prob.frequencies.max(), 16, 1e-10
+        fixed = integrate(rigid_rotation_state(cfg, prob), prob, t_end, tol,
+                          sample_times=np.linspace(0.0, t_end, samples + 1))
+        expected = dynamics.rigid_rotation_gap(fixed, cfg, prob)
+        dev = relative_equilibrium_deviation(cfg, prob, t_end, samples, tol)
+        assert dev > 1e-4
+        assert abs(dev - expected) <= 1e-8 * max(1.0, dev)
 
     def test_scaled_configuration_diverges(self, two_body):
         # scaling the points without rescaling the rotation rates breaks
@@ -499,8 +539,7 @@ def test_trajectory_csv_layout(two_body, tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and int(first[1]) == 0
-    traj = integrate(rigid_rotation_state(cfg, prob), prob, 1.0, 1e-8,
-                     sample_times=[0.0, 0.5, 1.0])
+    traj = dynamics.rigid_rotation_trajectory(cfg, prob, 1.0, 2, 1e-8)
     last = [float(x) for x in lines[-1].split(",")]
     assert last == [traj.times[2], 1.0, *traj.positions[2, 1],
                     *traj.velocities[2, 1]]

@@ -125,20 +125,26 @@ ROLLING = ("ring16", {"schema_version": "1", "dimension": 2,
                       "frequencies": [1.0]})
 
 
-def _maxwell_ring(count, central_mass, a):
-    """A central mass and ``count`` unit masses on a ring, rotating at rate
-    1: omega^2 = rho^(2a) (M + 2^(2a+1) S), S = sum_j sin^(2a+2)(pi j/n)."""
+def _ring(count, a, central_mass=0.0):
+    """``count`` unit masses on a ring, around a central mass if one is
+    given, rotating at rate 1: omega^2 = rho^(2a) (M + 2^(2a+1) S),
+    S = sum_j sin^(2a+2)(pi j/n)."""
     s = sum(math.sin(math.pi * j / count) ** (2.0 * a + 2.0)
             for j in range(1, count))
     rho = (1.0 / (central_mass + 2.0 ** (2.0 * a + 1.0) * s)) \
         ** (1.0 / (2.0 * a))
+    masses, positions = [1.0] * count, _ngon(count, rho)
+    if central_mass:
+        masses, positions = [central_mass] + masses, [[0.0, 0.0]] + positions
     return {"schema_version": "1", "dimension": 2, "exponent": a,
-            "masses": [central_mass] + [1.0] * count, "frequencies": [1.0],
-            "positions": [[0.0, 0.0]] + _ngon(count, rho)}
+            "masses": masses, "frequencies": [1.0], "positions": positions}
 
 
 # the integrator at more than 8 bodies
-MAXWELL = ("maxwell8", _maxwell_ring(8, 1000.0, -1.5))
+MAXWELL = ("maxwell8", _ring(8, -1.5, central_mass=1000.0))
+# the unstable equal-mass 12-ring at a = -2: its deviation is physical
+# growth, not rounding, and its integration rejects a step
+UNSTABLE = ("ring12", _ring(12, -2.0))
 
 
 def _rolling_lines(path):
@@ -178,7 +184,8 @@ def main():
         out_path = os.path.join(tmp, "report.out")
         runs = [(name, raw, _command_lines)
                 for name, raw in _documents().items()]
-        runs += [(*MAXWELL, _integrator_lines), (*ROLLING, _rolling_lines)]
+        runs += [(*MAXWELL, _integrator_lines),
+                 (*UNSTABLE, _integrator_lines), (*ROLLING, _rolling_lines)]
         for name, raw, command_lines in runs:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
