@@ -30,9 +30,10 @@ from .documents import (
     write_text_atomic,
 )
 from .dynamics import (
+    co_rotating_gap,
+    co_rotating_trajectory,
     relative_equilibrium_deviation,
-    rigid_rotation_gap,
-    rigid_rotation_trajectory,
+    to_fixed_frame,
 )
 from .errors import DocumentError, SingularityError
 from .probe import bound_probe, frequency_sweep
@@ -255,9 +256,10 @@ def _cmd_integrate(args):
     problem = doc.problem
     config = _need_positions(doc)
     t_end = _horizon(problem, args.t_end)
-    traj = rigid_rotation_trajectory(config, problem, t_end, args.samples,
-                                     args.tol)
-    deviation = rigid_rotation_gap(traj, config, problem)
+    rotating = co_rotating_trajectory(config, problem, t_end, args.samples,
+                                      args.tol)
+    deviation = co_rotating_gap(rotating, config)
+    traj = to_fixed_frame(rotating, problem)
     print(f"integrate: t_end={t_end:.9g} samples={args.samples} "
           f"deviation={deviation:.6e}")
     if args.format == "csv":

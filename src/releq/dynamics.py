@@ -7,13 +7,19 @@ geometry. The integrator is an adaptive Dormand-Prince 5(4) pair with PI
 step control; it aborts cleanly with a SingularityError when bodies
 approach collision, or when an accepted step carries a pair through one.
 Each integration builds one workspace: every stage point, its pair
-geometry and its derivative are written into buffers allocated once, and
-the samples are copied out of them.
+geometry and its derivative are written into buffers allocated once.
 
-``integrate`` works in the fixed frame. ``rigid_rotation_trajectory``
-and ``relative_equilibrium_deviation`` run the same loop in the frame
-that rotates at the problem's rates, where a relative equilibrium is a
-fixed point, and map the samples back to the fixed frame.
+``integrate`` works in the fixed frame: it cuts a step at every sample
+time and copies the samples out of the workspace.
+``co_rotating_trajectory`` runs the same loop in the frame that rotates
+at the problem's rates, where a relative equilibrium is a fixed point.
+There the steps run to the last sample time regardless of the others,
+each sample is read from the pair's continuous extension on the step
+that covers it, and the error is also controlled relative to the
+departure from rest, so a tiny departure that grows is followed rather
+than stepped over. ``relative_equilibrium_deviation`` reads the largest
+departure from those samples; ``rigid_rotation_trajectory`` maps them
+back to the fixed frame.
 """
 
 from __future__ import annotations
@@ -160,24 +166,57 @@ _DP_E = np.array([
     71 / 57600, 0.0, -71 / 16695, 71 / 1920,
     -17253 / 339200, 22 / 525, -1 / 40,
 ])
+# Shampine's 4th-order continuous extension of the pair (Shampine, Math.
+# Comp. 46, 1986; Hairer, Norsett & Wanner, Solving ODEs I, II.6): the
+# state at t + theta h is y + h * stages^T @ _DP_DENSE @ (theta, ..., theta^4)
+_DP_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423,
+     69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_BETA = 0.04
 _PI_EXPO = 0.2 - 0.75 * _PI_BETA
+# In the co-rotating frame each error scale is at most _DEPARTURE_RTOL
+# times the larger departure from rest, ||y - rest||_inf, of the step's
+# two ends (plus _DEPARTURE_FLOOR, which keeps an exact rest finite).
+_DEPARTURE_RTOL = 1e-2
+_DEPARTURE_FLOOR = 1e-30
 
 
 def _rms(q):
     return np.sqrt(np.add.reduce(q * q) / q.size)
 
 
-def _scaled_err(err_vec, y, y_new, tol, work):
-    """RMS of err_vec / (tol + tol max(|y|, |y_new|)), scaled in ``work``."""
+def _departure(y, rest, work):
+    return float(np.maximum.reduce(
+        np.abs(np.subtract(y, rest, out=work), out=work)))
+
+
+def _scaled_err(err_vec, y, y_new, tol, work, rest):
+    """RMS of err_vec / (tol + tol max(|y|, |y_new|)), scaled in ``work``;
+    with a ``rest`` point, each scale is also capped by the departure."""
     sc = np.maximum(np.abs(y, out=work[0]), np.abs(y_new, out=work[1]),
                     out=work[0])
     sc *= tol
     sc += tol
+    if rest is not None:
+        cap = _DEPARTURE_RTOL * max(_departure(y, rest, work[1]),
+                                    _departure(y_new, rest, work[1]))
+        np.minimum(sc, cap + _DEPARTURE_FLOOR, out=sc)
     return float(_rms(np.divide(err_vec, sc, out=sc)))
 
 
@@ -234,8 +273,10 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
     """``integrate`` from ``positions`` and ``velocities`` at ``t0``, in the
     fixed frame if ``generator`` is None, else in the frame that rotates
     with x = R(t)^T q, R' = G R, for ``generator`` G: there each body also
-    feels the centrifugal asq*x and the Coriolis -2 x' G^T, and the start
-    and the samples are (x, x')."""
+    feels the centrifugal asq*x and the Coriolis -2 x' G^T, the start and
+    the samples are (x, x'), the start is the rest point whose departure
+    caps the error scale, and the samples come from the continuous
+    extension rather than from steps cut at them."""
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
     t_end = float(t_end)
@@ -298,6 +339,7 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
         return stages[1]
 
     y[:nk], y[nk:] = positions.ravel(), velocities.ravel()
+    rest = None if generator is None else y.copy()
     t = t0
     diff, r2 = derivative(0, y, measure)
     _check_separation(positions, r2, t)
@@ -306,58 +348,73 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
     stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
     stages_t = stages.T
 
-    out_pos = np.empty((samples.size, n, k))
-    out_vel = np.empty((samples.size, n, k))
+    out = np.empty((samples.size, 2, n, k))
+    out_flat = out.reshape(samples.size, 2 * nk)
+    # the next sample to record; every one up to t is recorded
+    s_idx = np.searchsorted(samples, t, side="right")
+    out_flat[:s_idx] = y
 
-    for s_idx, target in enumerate(samples):
-        while t < target:
-            h_step = min(h, target - t)
-            # a NaN step (from a non-finite force) also underflows
-            if not h_step >= 1e-14 * max(1.0, abs(t)):
-                raise SingularityError(
-                    f"step size underflow at t={t:.6g}", time=t
-                )
-            try:
-                for s, (prev, coef) in enumerate(stage_rows, 1):
-                    np.matmul(prev, coef, out=stage_sum)
-                    stage_sum *= h_step
-                    np.add(y, stage_sum, out=y_new)
-                    diff_new, r2_new = derivative(s, y_new, measure_new)
-                # FSAL: the last stage point is the new state, and its
-                # stage is dy/dt there
-                np.matmul(stages_t, _DP_E, out=stage_sum)
+    while s_idx < samples.size:
+        # the fixed frame cuts the step at the next sample, the rotating
+        # one only at the last
+        target = samples[s_idx if rest is None else -1]
+        h_step = min(h, target - t)
+        # a NaN step (from a non-finite force) also underflows
+        if not h_step >= 1e-14 * max(1.0, abs(t)):
+            raise SingularityError(
+                f"step size underflow at t={t:.6g}", time=t
+            )
+        try:
+            for s, (prev, coef) in enumerate(stage_rows, 1):
+                np.matmul(prev, coef, out=stage_sum)
                 stage_sum *= h_step
-                err = _scaled_err(stage_sum, y, y_new, tol, err_work)
-            except FloatingPointError:
-                err = np.inf
-            if not math.isfinite(err):
-                h = 0.1 * h_step
-                continue
-            if err <= 1.0:
-                t = t + h_step
-                y, y_new = y_new, y
-                measure, measure_new = measure_new, measure
-                stages[0] = stages[6]
-                fac = _SAFETY * err ** -_PI_EXPO * err_old ** _PI_BETA \
-                    if err > 0.0 else _MAX_FACTOR
-                h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-                err_old = max(err, 1e-4)
-                if target - t < 1e-14 * max(1.0, abs(target)):
-                    t = target
-                _check_separation(y[:nk].reshape(n, k), r2_new, t)
-                # a pair whose separation turned by more than a right angle
-                # in one step has passed through a collision between states
-                if (np.einsum("bijk,bijk->bij", diff, diff_new) < 0.0).any():
-                    raise SingularityError(
-                        f"bodies passed through each other before t={t:.6g}: "
-                        "integration aborted", time=t)
-                diff = diff_new
-            else:
-                h = h_step * max(_MIN_FACTOR, _SAFETY * err ** -_PI_EXPO)
-        out_pos[s_idx] = y[:nk].reshape(n, k)
-        out_vel[s_idx] = y[nk:].reshape(n, k)
+                np.add(y, stage_sum, out=y_new)
+                diff_new, r2_new = derivative(s, y_new, measure_new)
+            # FSAL: the last stage point is the new state, and its
+            # stage is dy/dt there
+            np.matmul(stages_t, _DP_E, out=stage_sum)
+            stage_sum *= h_step
+            err = _scaled_err(stage_sum, y, y_new, tol, err_work, rest)
+        except FloatingPointError:
+            err = np.inf
+        if not math.isfinite(err):
+            h = 0.1 * h_step
+            continue
+        if err > 1.0:
+            h = h_step * max(_MIN_FACTOR, _SAFETY * err ** -_PI_EXPO)
+            continue
+        t_old, t = t, t + h_step
+        if target - t < 1e-14 * max(1.0, abs(target)):
+            t = target
+        # samples inside the step, from the continuous extension of its
+        # stages (none in the fixed frame, whose steps end at samples)
+        while s_idx < samples.size and samples[s_idx] < t:
+            theta = (samples[s_idx] - t_old) / h_step
+            np.matmul(stages_t, _DP_DENSE @ np.power(theta, (1, 2, 3, 4)),
+                      out=stage_sum)
+            stage_sum *= h_step
+            np.add(y, stage_sum, out=out_flat[s_idx])
+            s_idx += 1
+        y, y_new = y_new, y
+        measure, measure_new = measure_new, measure
+        stages[0] = stages[6]
+        fac = _SAFETY * err ** -_PI_EXPO * err_old ** _PI_BETA \
+            if err > 0.0 else _MAX_FACTOR
+        h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
+        err_old = max(err, 1e-4)
+        _check_separation(y[:nk].reshape(n, k), r2_new, t)
+        # a pair whose separation turned by more than a right angle
+        # in one step has passed through a collision between states
+        if (np.einsum("bijk,bijk->bij", diff, diff_new) < 0.0).any():
+            raise SingularityError(
+                f"bodies passed through each other before t={t:.6g}: "
+                "integration aborted", time=t)
+        diff = diff_new
+        while s_idx < samples.size and samples[s_idx] <= t:
+            out_flat[s_idx] = y
+            s_idx += 1
 
-    return Trajectory(samples.copy(), out_pos, out_vel)
+    return Trajectory(samples.copy(), out[:, 0], out[:, 1])
 
 
 def rigid_rotation_state(config, problem):
@@ -377,15 +434,17 @@ def rigid_rotation_gap(trajectory, config, problem):
     return worst
 
 
-def rigid_rotation_trajectory(config, problem, t_end, samples=32, tol=1e-10):
-    """Integrated motion from ``rigid_rotation_state`` of ``config``.
+def co_rotating_trajectory(config, problem, t_end, samples=32, tol=1e-10):
+    """Integrated motion of ``config`` in the frame that rotates at the
+    problem's rates, from rest at ``config``: the co-rotating coordinates
+    x = R(t)^T q and their rates x', with R' = G R for G =
+    ``rotation_generator``.
 
     The motion is sampled at ``samples`` + 1 uniform times in [0, t_end];
-    ``samples`` must be >= 1. It is integrated in the frame that rotates
-    at the problem's rates, where ``config`` starts at rest and stays
-    there if it is a relative equilibrium, so the step size is bounded by
-    the sample spacing rather than by the rotation. The samples are
-    mapped back to the fixed frame: q = x R(t)^T, v = (x' + x G^T) R(t)^T.
+    ``samples`` must be >= 1. A relative equilibrium is a fixed point
+    here. The steps run to t_end whatever ``samples`` is, and each sample
+    is read from the continuous extension of the step that covers it, so
+    the samples share their times' bits across sample counts.
     """
     samples = int(samples)
     if samples < 1:
@@ -393,18 +452,38 @@ def rigid_rotation_trajectory(config, problem, t_end, samples=32, tol=1e-10):
     check_problem_config(problem, config)
     gen = rotation_generator(problem.frequencies, problem.k)
     times = np.linspace(0.0, float(t_end), samples + 1)
-    rotating = _dormand_prince(config.points, np.zeros_like(config.points),
-                               0.0, problem, t_end, tol, times, gen)
+    return _dormand_prince(config.points, np.zeros_like(config.points),
+                           0.0, problem, t_end, tol, times, gen)
+
+
+def co_rotating_gap(trajectory, config):
+    """Max over samples and bodies of |x_i(t) - Q_i| along a
+    ``co_rotating_trajectory``; rotations keep norms, so in exact
+    arithmetic this is the fixed frame's ``rigid_rotation_gap``."""
+    gap = trajectory.positions - config.points
+    return float(np.sqrt(np.add.reduce(gap * gap, axis=2)).max())
+
+
+def to_fixed_frame(trajectory, problem):
+    """A ``co_rotating_trajectory`` mapped back to the fixed frame:
+    q = x R(t)^T, v = (x' + x G^T) R(t)^T."""
+    gen = rotation_generator(problem.frequencies, problem.k)
     rot_t = np.stack([rotation_matrix(problem.frequencies, t, problem.k).T
-                      for t in rotating.times])
-    x, x_dot = rotating.positions, rotating.velocities
-    return Trajectory(rotating.times, x @ rot_t, (x_dot + x @ gen.T) @ rot_t)
+                      for t in trajectory.times])
+    x, x_dot = trajectory.positions, trajectory.velocities
+    return Trajectory(trajectory.times, x @ rot_t, (x_dot + x @ gen.T) @ rot_t)
+
+
+def rigid_rotation_trajectory(config, problem, t_end, samples=32, tol=1e-10):
+    """Integrated motion from ``rigid_rotation_state`` of ``config``, in the
+    fixed frame: ``co_rotating_trajectory`` mapped back."""
+    return to_fixed_frame(
+        co_rotating_trajectory(config, problem, t_end, samples, tol), problem)
 
 
 def relative_equilibrium_deviation(config, problem, t_end, samples=32, tol=1e-10):
     """Max gap between the integrated motion and rigid rotation of ``config``,
-    over the samples of ``rigid_rotation_trajectory``, which integrates in
-    the co-rotating frame; in exact arithmetic the gap is that frame's
-    max |x_i(t) - Q_i|."""
-    trajectory = rigid_rotation_trajectory(config, problem, t_end, samples, tol)
-    return rigid_rotation_gap(trajectory, config, problem)
+    read in the co-rotating frame as ``co_rotating_gap`` of
+    ``co_rotating_trajectory``."""
+    return co_rotating_gap(
+        co_rotating_trajectory(config, problem, t_end, samples, tol), config)

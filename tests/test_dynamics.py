@@ -283,9 +283,13 @@ class TestIntegrate:
         traj = integrate(state, prob, period, 1e-6, sample_times=[period])
         assert np.abs(traj.positions[-1] - state.positions).max() < 1e-4
 
-    @pytest.mark.parametrize("case", ["trigon", "eccentric", "co-rotating"])
-    def test_one_geometry_pass_per_force_evaluation(self, case, trigon,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("case,samples", [
+        ("trigon", None), ("eccentric", None), ("co-rotating", 1),
+        ("co-rotating", 4), ("co-rotating", 16), ("co-rotating", 64),
+    ], ids=["trigon", "eccentric", "co-rotating-1", "co-rotating-4",
+            "co-rotating-16", "co-rotating-64"])
+    def test_one_geometry_pass_per_force_evaluation(self, case, samples,
+                                                    trigon, monkeypatch):
         # each stage measures its point once, and every state is guarded
         # from its own stage's r^2: the initial state from stage 0, an
         # accepted one from its last stage, however many steps are rejected.
@@ -293,8 +297,9 @@ class TestIntegrate:
         # is one _measure_pairs call.
         prob, cfg = trigon
         if case == "co-rotating":
-            def run():
-                dynamics.rigid_rotation_trajectory(cfg, prob, 2 * np.pi, 16)
+            def run(samples=samples):
+                dynamics.rigid_rotation_trajectory(cfg, prob, 2 * np.pi,
+                                                   samples)
         else:
             if case == "trigon":
                 state, t_end = rigid_rotation_state(cfg, prob), 2 * np.pi
@@ -319,10 +324,27 @@ class TestIntegrate:
         assert calls["forces_from"] > 0
         assert calls["_measure_pairs"] == calls["forces_from"]
         if case == "co-rotating":
-            # at rest in the co-rotating frame the step is bounded by the
-            # sample spacing; the fixed-frame run follows the rotation
-            # with 890 force evaluations
-            assert calls["forces_from"] <= 250
+            # at rest in the co-rotating frame the step follows the
+            # departure from rest, and the samples are read between steps:
+            # every sample count takes the single sample's steps. The
+            # fixed-frame run follows the rotation with 890 force
+            # evaluations
+            evaluations = calls["forces_from"]
+            assert evaluations <= 120
+            calls["forces_from"] = 0
+            run(1)
+            assert calls["forces_from"] == evaluations
+
+    def test_samples_do_not_steer_the_steps(self, trigon):
+        # the co-rotating run steps to t_end whatever the sample count, so
+        # the 17 times that 16 and 64 samples share carry the same bits
+        prob, cfg = trigon
+        coarse, fine = (dynamics.co_rotating_trajectory(cfg, prob, 2 * np.pi,
+                                                        samples)
+                        for samples in (16, 64))
+        assert np.array_equal(fine.times[::4], coarse.times)
+        assert np.array_equal(fine.positions[::4], coarse.positions)
+        assert np.array_equal(fine.velocities[::4], coarse.velocities)
 
     @pytest.mark.parametrize("case", range(4),
                              ids=["trigon", "odd_k", "k4", "eccentric"])
@@ -509,6 +531,25 @@ class TestDeviation:
         dev = relative_equilibrium_deviation(cfg, prob, t_end, samples, tol)
         assert dev > 1e-4
         assert abs(dev - expected) <= 1e-8 * max(1.0, dev)
+
+    @pytest.mark.parametrize("n,a,predicted", [
+        (12, -2.0, 1.994e-3), (12, -1.5, 1.852e-8), (8, -2.0, 1.55e-9),
+    ], ids=["12-ring-a-2", "12-ring-a-1.5", "8-ring-a-2"])
+    @pytest.mark.parametrize("samples", [1, 4, 16, 64])
+    def test_unstable_rings_follow_linear_response(self, n, a, predicted,
+                                                   samples):
+        # these rings are linearly unstable, so the float64 points' balance
+        # defect grows over one period into the whole deviation. The
+        # predictions are ROADMAP item 4's linear response to the float64
+        # defect from rest (its table's "float64 F" column). Under an error
+        # scale of tol (1 + |y|) alone the steps outgrow the departure, and
+        # a run at one sample read these rings 18-43x low
+        prob = Problem(2, [1.0] * n, [1.0], a)
+        rho = oracles.ngon_circumradius(n, 1.0, 1.0, a)
+        cfg = Configuration(oracles.ngon_points(n, rho))
+        dev = relative_equilibrium_deviation(cfg, prob, 2 * np.pi, samples,
+                                             1e-10)
+        assert predicted / 1.5 <= dev <= 1.5 * predicted
 
     def test_scaled_configuration_diverges(self, two_body):
         # scaling the points without rescaling the rotation rates breaks
