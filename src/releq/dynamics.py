@@ -13,11 +13,13 @@ geometry and its derivative are written into buffers allocated once.
 time and copies the samples out of the workspace.
 ``co_rotating_trajectory`` runs the same loop in the frame that rotates
 at the problem's rates, where a relative equilibrium is a fixed point.
-There the steps run to the last sample time regardless of the others,
-each sample is read from the pair's continuous extension on the step
-that covers it, and the error is also controlled relative to the
-departure from rest, so a tiny departure that grows is followed rather
-than stepped over. ``relative_equilibrium_deviation`` reads the largest
+There the first step is fitted to the departure from rest, from the
+stiffness along the force defect, rather than climbing from a tiny one;
+the steps run to the last sample time regardless of the others, each
+sample is read from the pair's continuous extension on the step that
+covers it, and the error is also controlled relative to the departure
+from rest, so a tiny departure that grows is followed rather than
+stepped over. ``relative_equilibrium_deviation`` reads the largest
 departure from those samples; ``rigid_rotation_trajectory`` maps them
 back to the fixed frame.
 """
@@ -192,7 +194,8 @@ _PI_BETA = 0.04
 _PI_EXPO = 0.2 - 0.75 * _PI_BETA
 # In the co-rotating frame each error scale is at most _DEPARTURE_RTOL
 # times the larger departure from rest, ||y - rest||_inf, of the step's
-# two ends (plus _DEPARTURE_FLOOR, which keeps an exact rest finite).
+# two ends (plus _DEPARTURE_FLOOR, which keeps an exact rest finite), and
+# the first step errs by about _DEPARTURE_RTOL of the departure.
 _DEPARTURE_RTOL = 1e-2
 _DEPARTURE_FLOOR = 1e-30
 
@@ -206,16 +209,14 @@ def _departure(y, rest, work):
         np.abs(np.subtract(y, rest, out=work), out=work)))
 
 
-def _scaled_err(err_vec, y, y_new, tol, work, rest):
+def _scaled_err(err_vec, y, y_new, tol, work, cap):
     """RMS of err_vec / (tol + tol max(|y|, |y_new|)), scaled in ``work``;
-    with a ``rest`` point, each scale is also capped by the departure."""
+    with a ``cap``, each scale is at most cap + _DEPARTURE_FLOOR."""
     sc = np.maximum(np.abs(y, out=work[0]), np.abs(y_new, out=work[1]),
                     out=work[0])
     sc *= tol
     sc += tol
-    if rest is not None:
-        cap = _DEPARTURE_RTOL * max(_departure(y, rest, work[1]),
-                                    _departure(y_new, rest, work[1]))
+    if cap is not None:
         np.minimum(sc, cap + _DEPARTURE_FLOOR, out=sc)
     return float(_rms(np.divide(err_vec, sc, out=sc)))
 
@@ -232,6 +233,37 @@ def _initial_step(derivative_at, y0, f0, tol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1)
+
+
+def _departure_step(derivative_at, y0, f0, generator):
+    """First step from rest at ``y0``, where dy/dt = ``f0`` = (0, defect):
+    the departure from rest starts from the force defect.
+
+    One evaluation at the positions moved by eps along the defect measures
+    the stiffness the departure meets, ||d acc||_inf / eps. The departure's
+    local rate is the larger of its square root and 2 max|G|, the Coriolis
+    coupling. The embedded error estimate is O(h^5), so a step of
+    _DEPARTURE_RTOL^(1/5) / rate errs by about _DEPARTURE_RTOL of a linear
+    departure. A zero defect keeps the rest point exact and takes the
+    Coriolis rate alone; a non-finite one gives a NaN step, which
+    underflows at once.
+    """
+    nk = y0.size // 2
+    defect = f0[nk:]
+    size = float(np.abs(defect).max())
+    if not math.isfinite(size):
+        return math.nan
+    rate = 2.0 * float(np.abs(generator).max())
+    if size > 0.0:
+        # the finite-difference step sqrt(machine eps) in the scale
+        # max(1, ||positions||_inf)
+        eps = math.sqrt(np.finfo(float).eps) \
+            * max(1.0, float(np.abs(y0[:nk]).max()))
+        point = y0.copy()
+        point[:nk] += eps / size * defect
+        stiffness = float(np.abs(derivative_at(point)[nk:] - defect).max())
+        rate = max(rate, math.sqrt(stiffness / eps))
+    return _DEPARTURE_RTOL ** 0.2 / rate
 
 
 def integrate(initial, problem, t_end, tol, sample_times=None):
@@ -275,8 +307,8 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
     with x = R(t)^T q, R' = G R, for ``generator`` G: there each body also
     feels the centrifugal asq*x and the Coriolis -2 x' G^T, the start and
     the samples are (x, x'), the start is the rest point whose departure
-    caps the error scale, and the samples come from the continuous
-    extension rather than from steps cut at them."""
+    sets the first step and caps the error scale, and the samples come
+    from the continuous extension rather than from steps cut at them."""
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
     t_end = float(t_end)
@@ -340,10 +372,15 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
 
     y[:nk], y[nk:] = positions.ravel(), velocities.ravel()
     rest = None if generator is None else y.copy()
+    departure = departure_new = 0.0
     t = t0
     diff, r2 = derivative(0, y, measure)
     _check_separation(positions, r2, t)
-    h = min(_initial_step(probe, y, stages[0], tol), t_end - t0)
+    if rest is None:
+        h = _initial_step(probe, y, stages[0], tol)
+    else:
+        h = _departure_step(probe, y, stages[0], generator)
+    h = min(h, t_end - t0)
     err_old = 1e-4
     stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
     stages_t = stages.T
@@ -374,7 +411,12 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
             # stage is dy/dt there
             np.matmul(stages_t, _DP_E, out=stage_sum)
             stage_sum *= h_step
-            err = _scaled_err(stage_sum, y, y_new, tol, err_work, rest)
+            cap = None
+            if rest is not None:
+                # y's departure was measured when y was accepted
+                departure_new = _departure(y_new, rest, err_work[1])
+                cap = _DEPARTURE_RTOL * max(departure, departure_new)
+            err = _scaled_err(stage_sum, y, y_new, tol, err_work, cap)
         except FloatingPointError:
             err = np.inf
         if not math.isfinite(err):
@@ -396,6 +438,7 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
             np.add(y, stage_sum, out=out_flat[s_idx])
             s_idx += 1
         y, y_new = y_new, y
+        departure = departure_new
         measure, measure_new = measure_new, measure
         stages[0] = stages[6]
         fac = _SAFETY * err ** -_PI_EXPO * err_old ** _PI_BETA \

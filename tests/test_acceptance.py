@@ -183,7 +183,7 @@ def test_criterion_4_rigid_rotation_dynamics():
     # part of the rotating-frame linearization [[0, I], [J, -2 I(x)G]]),
     # so float64 initial data (defect ~1e-14, the representation limit)
     # is amplified by e^(4.909 * 2 pi) ~ 2.5e13 over one period: the
-    # measured deviation 1.66e-3, 0.83x the linear response to the
+    # measured deviation 1.56e-3, 0.78x the linear response to the
     # float64 defect and the same at any sample count, is
     # tolerance-independent and no double-precision integration can
     # meet 1e-6 there. The bound is asserted as stated regardless.

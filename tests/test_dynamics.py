@@ -286,8 +286,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("case,samples", [
         ("trigon", None), ("eccentric", None), ("co-rotating", 1),
         ("co-rotating", 4), ("co-rotating", 16), ("co-rotating", 64),
+        ("exact-pair", 16),
     ], ids=["trigon", "eccentric", "co-rotating-1", "co-rotating-4",
-            "co-rotating-16", "co-rotating-64"])
+            "co-rotating-16", "co-rotating-64", "exact-pair"])
     def test_one_geometry_pass_per_force_evaluation(self, case, samples,
                                                     trigon, monkeypatch):
         # each stage measures its point once, and every state is guarded
@@ -296,7 +297,13 @@ class TestIntegrate:
         # Every pair-geometry measurement, one-shot or into a workspace,
         # is one _measure_pairs call.
         prob, cfg = trigon
-        if case == "co-rotating":
+        if case == "exact-pair":
+            # half masses one apart at rate 1: r^(2a) = 1 for every a, so
+            # the float64 forces balance exactly and the defect is zero
+            prob = Problem(2, [0.5, 0.5], [1.0], -1.5)
+            cfg = Configuration(oracles.two_body_points(0.5, 0.5, 1.0, -1.5))
+            assert not np.any(acceleration(cfg.points, prob) + cfg.points)
+        if case in ("co-rotating", "exact-pair"):
             def run(samples=samples):
                 dynamics.rigid_rotation_trajectory(cfg, prob, 2 * np.pi,
                                                    samples)
@@ -323,14 +330,15 @@ class TestIntegrate:
         run()
         assert calls["forces_from"] > 0
         assert calls["_measure_pairs"] == calls["forces_from"]
-        if case == "co-rotating":
-            # at rest in the co-rotating frame the step follows the
-            # departure from rest, and the samples are read between steps:
-            # every sample count takes the single sample's steps. The
-            # fixed-frame run follows the rotation with 890 force
+        if case in ("co-rotating", "exact-pair"):
+            # at rest in the co-rotating frame the first step is fitted to
+            # the departure's rate, with no climb from a tiny step, and the
+            # later ones follow the departure. The samples are read between
+            # steps, so every sample count takes the single sample's steps.
+            # The fixed-frame run follows the rotation with 890 force
             # evaluations
             evaluations = calls["forces_from"]
-            assert evaluations <= 120
+            assert evaluations <= (85 if case == "co-rotating" else 35)
             calls["forces_from"] = 0
             run(1)
             assert calls["forces_from"] == evaluations
