@@ -115,12 +115,21 @@ class Configuration:
         object.__setattr__(self, "points", points)
         max_norm = float(np.sqrt(np.sum(points ** 2, axis=1)).max())
         min_dist = _kernels.min_pair_distance(points)
-        if not min_dist > COLLISION_RTOL * (1.0 + max_norm):
-            raise ValueError(
-                f"colliding configuration: min pairwise distance {min_dist:.3e}"
-            )
+        check_separation(min_dist, max_norm)
         object.__setattr__(self, "min_distance", min_dist)
         object.__setattr__(self, "max_norm", max_norm)
+
+
+def check_separation(min_distance, max_norm):
+    """Raise ValueError, as constructing a colliding ``Configuration``
+    does, unless each minimum pairwise distance (a scalar or one per
+    point set of a stack) exceeds COLLISION_RTOL * (1 + its largest point
+    norm); NaN never does."""
+    clear = min_distance > COLLISION_RTOL * (1.0 + max_norm)
+    if not np.all(clear):
+        first = np.ravel(min_distance)[np.argmin(clear)]
+        raise ValueError(
+            f"colliding configuration: min pairwise distance {first:.3e}")
 
 
 def _check_frequency_dims(frequencies, k):

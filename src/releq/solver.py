@@ -36,23 +36,32 @@ when it reaches a stationary point of ||F||^2 that is no zero:
 ||J^T F|| <= GRADIENT_RTOL * ||J||_F * ||F||, tested each time the trial
 is linearized, after the convergence and iteration tests.
 
-A search keeps the fingerprints of its classes as two stacked arrays, in
-discovery order, and tests each converged trial against all of them in
-one array comparison: the trial joins the first class it matches, by the
-rule of ``EquilibriumFingerprint.matches``, or opens a new class.
+The batch yields each finished trial's raw values as a ``_Trial``. A
+search does its class bookkeeping on stacks: it takes the converged
+trials in trial order, in chunks of at most its slot count, and
+canonicalizes each chunk as one stack whose pair geometry, measured
+once, serves the ``Configuration`` collision check of every canonical
+set and the fingerprints (``canonicalize`` and ``fingerprint`` run the
+same code on a stack of one). The classes' fingerprints are kept as two
+stacked arrays in discovery order, and each trial is tested against all
+of them in one array comparison: it joins the first class it matches,
+by the rule of ``EquilibriumFingerprint.matches``, or opens a new class,
+whose first trial alone becomes a validated ``SolveResult``.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .criterion import residual, residual_scale_batch
-from .model import Configuration, Problem, check_problem_config
+from .model import (Configuration, Problem, check_problem_config,
+                    check_separation)
 
 # A multistart search runs so many trials at once that one
 # (slots, n*k, n*k) array has at most this many float64 entries (512 KB).
@@ -135,6 +144,26 @@ class SolveResult:
         }
 
 
+class _Trial(NamedTuple):
+    """A finished trial's raw outcome: a ``SolveResult`` whose points are
+    not yet validated as a ``Configuration``."""
+
+    points: np.ndarray
+    residual_max: float
+    iterations: int
+    termination: Termination
+    residual_history: tuple
+
+    @property
+    def converged(self):
+        return self.termination is Termination.CONVERGED
+
+
+def _solved(trial, points):
+    """The SolveResult of ``trial`` at ``points``, validated."""
+    return SolveResult(Configuration(points), *trial[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class EquilibriumFingerprint:
     """Rotation- and relabeling-invariant signature of a configuration.
@@ -195,16 +224,52 @@ def _doubled(stack):
     return grown
 
 
+def _norms(points):
+    """Euclidean norm of each point along the last axis."""
+    return np.sqrt(np.sum(points ** 2, axis=-1))
+
+
+def _fingerprints(r2, norms, masses):
+    """Fingerprint sides of each point set of a stack, from its squared
+    pair distances and point norms: the sorted distances and the weighted
+    norms m_i |Q_i| ordered by (mass, weighted norm)."""
+    iu, ju = _kernels.pair_indices(len(masses))
+    distances = np.sort(np.sqrt(r2[:, iu, ju]), axis=1)
+    weighted = masses * norms
+    order = np.lexsort((weighted, np.broadcast_to(masses, weighted.shape)))
+    return distances, np.take_along_axis(weighted, order, axis=1)
+
+
 def fingerprint(config, problem):
     """Signature used to deduplicate equilibria up to rotation/relabeling."""
     check_problem_config(problem, config)
-    pts = config.points
-    dist = _kernels.pair_distances(pts)
-    sorted_distances = np.sort(dist[_kernels.pair_indices(problem.n)])
-    norms = np.sqrt(np.sum(pts ** 2, axis=1))
-    order = np.lexsort((problem.masses * norms, problem.masses))
-    weighted = (problem.masses * norms)[order]
-    return EquilibriumFingerprint(sorted_distances, weighted)
+    points = config.points[None]
+    r2 = _kernels.pair_geometry(points)[1]
+    distances, weighted = _fingerprints(r2, _norms(points), problem.masses)
+    return EquilibriumFingerprint(distances[0], weighted[0])
+
+
+def _canonical(points, problem):
+    """``canonicalize`` of each (n, k) point set of a stack, unvalidated."""
+    pts = np.array(points, dtype=float)
+    k = pts.shape[2]
+    if k % 2 == 1:
+        # one dot product per set, as each set alone is centred
+        masses = problem.masses
+        centroids = np.array([masses @ z for z in pts[:, :, -1]])
+        pts[:, :, -1] -= (centroids / float(masses.sum()))[:, None]
+    scale = np.maximum(1.0, _norms(pts).max(axis=1))
+    for l in range(k // 2):
+        cols = slice(2 * l, 2 * l + 2)
+        plane = pts[:, :, cols]
+        nonzero = _norms(plane) > 1e-9 * scale[:, None]
+        turned = np.flatnonzero(nonzero.any(axis=1))
+        x, y = plane[turned, np.argmax(nonzero[turned], axis=1)].T
+        r = np.hypot(x, y)
+        c, s = x / r, y / r
+        rot = np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+        pts[turned, :, cols] = plane[turned] @ rot.transpose(0, 2, 1)
+    return pts
 
 
 def canonicalize(config, problem):
@@ -216,25 +281,22 @@ def canonicalize(config, problem):
     that plane sits at angle zero.
     """
     check_problem_config(problem, config)
-    pts = np.array(config.points, dtype=float)
-    n, k = pts.shape
-    if k % 2 == 1:
-        centroid_last = float(problem.masses @ pts[:, -1]) / float(problem.masses.sum())
-        pts[:, -1] -= centroid_last
-    scale = max(1.0, float(np.sqrt(np.sum(pts ** 2, axis=1)).max()))
-    for l in range(k // 2):
-        cols = slice(2 * l, 2 * l + 2)
-        plane = pts[:, cols]
-        radii = np.sqrt(np.sum(plane ** 2, axis=1))
-        nonzero = np.nonzero(radii > 1e-9 * scale)[0]
-        if nonzero.size == 0:
-            continue
-        x, y = plane[nonzero[0]]
-        r = float(np.hypot(x, y))
-        c, s = x / r, y / r
-        rot = np.array([[c, s], [-s, c]])
-        pts[:, cols] = plane @ rot.T
-    return Configuration(pts)
+    return Configuration(_canonical(config.points[None], problem)[0])
+
+
+def _canonical_fingerprints(points, problem):
+    """Canonical points and fingerprint sides of a (B, n, k) stack.
+
+    One pair-geometry pass of the canonical stack serves both the
+    collision check of ``Configuration``, made on every set and raising
+    as it does, and the fingerprints; each row has the bits that
+    ``canonicalize`` and ``fingerprint`` give its set alone.
+    """
+    canonical = _canonical(points, problem)
+    r2 = _kernels.pair_geometry(canonical)[1]
+    norms = _norms(canonical)
+    check_separation(_kernels.min_distance_from(r2), norms.max(axis=1))
+    return (canonical, *_fingerprints(r2, norms, problem.masses))
 
 
 def seed_radius(problem):
@@ -267,14 +329,14 @@ def _even_problem(problem):
                    problem.exponent)
 
 
-def _lifted(result, k):
-    """``result`` in dimension k, with zero coordinates appended."""
-    n, k_even = result.config.points.shape
+def _lifted(points, k):
+    """(n, k_even) ``points`` in dimension k, zero coordinates appended."""
+    n, k_even = points.shape
     if k_even == k:
-        return result
-    points = np.zeros((n, k))
-    points[:, :k_even] = result.config.points
-    return replace(result, config=Configuration(points))
+        return points
+    lifted = np.zeros((n, k))
+    lifted[:, :k_even] = points
+    return lifted
 
 
 def _damped_steps(lhs, rhs):
@@ -308,7 +370,7 @@ def _costs(per_body):
 
 
 def _max_norms(per_body):
-    return np.sqrt(np.sum(per_body ** 2, axis=-1)).max(axis=-1)
+    return _norms(per_body).max(axis=-1)
 
 
 def _solve_batch(seeds, problem, opts, slots):
@@ -327,8 +389,10 @@ def _solve_batch(seeds, problem, opts, slots):
     trial steps are accepted only when they decrease the trial's stacked
     residual norm, and steps whose minimum separation falls below the
     collision guard are rejected with increased damping instead of being
-    evaluated. Results are yielded in seed order, each as soon as every
-    earlier trial has finished.
+    evaluated. Each finished trial is yielded as a ``_Trial`` record of
+    its raw values, in seed order, as soon as every earlier trial has
+    finished. Its points are its seed or a step the collision guard
+    cleared; no ``Configuration`` is built for them here.
     """
     n, k = problem.n, problem.k
     masses, asq, a = problem.masses, problem.asq, problem.a
@@ -350,14 +414,18 @@ def _solve_batch(seeds, problem, opts, slots):
     yielded = 0
 
     def stop(done, termination):
+        if not done.size:
+            return
         for i in done:
-            finished[int(order[i])] = SolveResult(
-                Configuration(points[i]), float(max_norm[i]),
-                int(iterations[i]), termination, tuple(history[i]))
+            finished[int(order[i])] = _Trial(
+                points[i].copy(), float(max_norm[i]), int(iterations[i]),
+                termination, tuple(history[i]))
         active[done] = False
 
     def reject(rejected, termination, give_up=False):
         # grow the damping; stop trials past DAMPING_MAX (or giving up)
+        if not rejected.size:
+            return
         damping[rejected] *= opts.damping_grow
         stop(rejected[give_up | (damping[rejected] > DAMPING_MAX)],
              termination)
@@ -481,8 +549,8 @@ def solve_from_seed(seed, problem, opts=None):
         max_norm = residual(seed, problem).max_norm
         return SolveResult(seed, max_norm, 0, Termination.COLLISION_GUARD,
                            (max_norm,))
-    result = next(_solve_batch([start.points], even, opts, 1))
-    return _lifted(result, problem.k)
+    trial = next(_solve_batch([start.points], even, opts, 1))
+    return _solved(trial, _lifted(trial.points, problem.k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,16 +562,22 @@ class SearchClass:
     hits: int
 
 
+def _slot_count(problem, trials):
+    """Slots of a search: as many as keep (slots, n*k, n*k) within
+    _BATCH_ENTRIES entries, at least one and at most ``trials``."""
+    return min(max(1, _BATCH_ENTRIES // (problem.n * problem.k) ** 2), trials)
+
+
 def _trial_results(problem, trials, rng_seed, opts):
-    """Solve trials 0..trials-1 in one rolling lock-step batch, in order.
+    """Solve trials 0..trials-1 in one rolling lock-step batch, in order,
+    as ``_Trial`` records.
 
     Trial t draws its seed from the generator (rng_seed, t) when a slot
     frees up for it.
     """
     seeds = (sample_seed(problem, np.random.default_rng([rng_seed, t])).points
              for t in range(trials))
-    slots = max(1, _BATCH_ENTRIES // (problem.n * problem.k) ** 2)
-    return _solve_batch(seeds, problem, opts, min(slots, trials))
+    return _solve_batch(seeds, problem, opts, _slot_count(problem, trials))
 
 
 def multistart_search(problem, trials, rng_seed, opts=None):
@@ -522,29 +596,31 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     opts = opts or SolveOptions()
     even = _even_problem(problem)
 
-    found = []    # [canonical result, hits] per class
+    found = []    # [representative SolveResult, fingerprint, hits] per class
     # the two sides of the classes' fingerprints, row c for class c; rows
     # from len(found) on are spare, and their count doubles when used up
     distances = np.empty((16, even.n * (even.n - 1) // 2))
     norms = np.empty((16, even.n))
-    for result in _trial_results(even, trials, rng_seed, opts):
-        if not result.converged:
-            continue
-        canonical = canonicalize(result.config, even)
-        fp = fingerprint(canonical, even)
-        count = len(found)
-        hit = _first_match(distances[:count], norms[:count], fp)
-        if hit is not None:
-            found[hit][1] += 1
-            continue
-        if count == len(norms):
-            distances, norms = _doubled(distances), _doubled(norms)
-        distances[count] = fp.sorted_distances
-        norms[count] = fp.sorted_mass_weighted_norms
-        found.append([replace(result, config=canonical), 1])
-    return [SearchClass(_lifted(result, problem.k),
-                        EquilibriumFingerprint(distances[c], norms[c]), hits)
-            for c, (result, hits) in enumerate(found)]
+    converged = (trial for trial in _trial_results(even, trials, rng_seed, opts)
+                 if trial.converged)
+    size = _slot_count(even, trials)
+    for chunk in iter(lambda: list(itertools.islice(converged, size)), []):
+        canonical, chunk_distances, chunk_norms = _canonical_fingerprints(
+            np.array([trial.points for trial in chunk]), even)
+        for trial, points, fp in zip(
+                chunk, canonical,
+                map(EquilibriumFingerprint, chunk_distances, chunk_norms)):
+            count = len(found)
+            hit = _first_match(distances[:count], norms[:count], fp)
+            if hit is not None:
+                found[hit][2] += 1
+                continue
+            if count == len(norms):
+                distances, norms = _doubled(distances), _doubled(norms)
+            distances[count] = fp.sorted_distances
+            norms[count] = fp.sorted_mass_weighted_norms
+            found.append([_solved(trial, _lifted(points, problem.k)), fp, 1])
+    return [SearchClass(*cls) for cls in found]
 
 
 def exponent_schedule(a_start, a_target, steps):

@@ -1,10 +1,11 @@
 import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from releq import solver
+from releq import _kernels, solver
 from releq import (
     Configuration,
     Problem,
@@ -29,6 +30,29 @@ from releq import (
 
 import oracles
 from conftest import random_config
+
+
+def lone_canonical_fingerprint(points, prob):
+    """Canonical points and fingerprint sides of one point set, plane by
+    plane: the reference of the stacked class bookkeeping."""
+    pts = np.array(points)
+    k = pts.shape[1]
+    if k % 2:
+        pts[:, -1] -= float(prob.masses @ pts[:, -1]) / float(prob.masses.sum())
+    scale = max(1.0, float(np.sqrt(np.sum(pts ** 2, axis=1)).max()))
+    for l in range(k // 2):
+        plane = pts[:, 2 * l:2 * l + 2]
+        turned = np.flatnonzero(np.sqrt(np.sum(plane ** 2, axis=1))
+                                > 1e-9 * scale)
+        if turned.size:
+            x, y = plane[turned[0]]
+            r = float(np.hypot(x, y))
+            c, s = x / r, y / r
+            pts[:, 2 * l:2 * l + 2] = plane @ np.array([[c, s], [-s, c]]).T
+    distances = _kernels.pair_distances(pts)[_kernels.pair_indices(len(pts))]
+    weighted = prob.masses * np.sqrt(np.sum(pts ** 2, axis=1))
+    order = np.lexsort((weighted, prob.masses))
+    return pts, np.sort(distances), weighted[order]
 
 
 def assert_fingerprints_agree(fp, other, rtol):
@@ -255,7 +279,7 @@ class TestMultistart:
         assert draws[4] == min(lone_rounds[:4])
         assert termination in {result.termination for result in batched}
         for mine, alone in zip(batched, lone, strict=True):
-            assert np.array_equal(mine.config.points,
+            assert np.array_equal(mine.points,
                                   alone.config.points[:, :even_k])
             assert not alone.config.points[:, even_k:].any()
             assert mine.residual_max == alone.residual_max
@@ -301,6 +325,55 @@ class TestMultistart:
         classes = multistart_search(prob, 12, 4)
         assert sum(cls.hits for cls in expected) == 12
         assert_same_classes(classes, expected)
+
+    def test_bookkeeping_measures_each_chunk_once(self, monkeypatch):
+        # outside the LM, a search measures pair geometry once per chunk
+        # of converged trials (8, the slot count here) and once per class,
+        # as it validates the class's representative; it builds a
+        # Configuration per seed draw and per class, none per trial
+        prob = Problem(2, np.ones(6), [1.0], -1.5)
+        expected = multistart_search(prob, 48, 41)
+        counts = Counter()
+        in_lm = [False]
+        measure, build = _kernels._measure_pairs, solver.Configuration
+        draw, solve_batch = solver.sample_seed, solver._solve_batch
+
+        def measuring(*args):
+            counts["lm" if in_lm[0] else "bookkeeping"] += 1
+            return measure(*args)
+
+        def building(points):
+            counts["configurations"] += 1
+            return build(points)
+
+        def drawing(*args):
+            counts["draws"] += 1
+            return draw(*args)
+
+        def batch(*args):
+            trials = solve_batch(*args)
+            while True:
+                in_lm[0] = True
+                trial = next(trials, None)
+                in_lm[0] = False
+                if trial is None:
+                    return
+                counts["converged"] += trial.converged
+                yield trial
+
+        monkeypatch.setattr(_kernels, "_measure_pairs", measuring)
+        monkeypatch.setattr(solver, "Configuration", building)
+        monkeypatch.setattr(solver, "sample_seed", drawing)
+        monkeypatch.setattr(solver, "_solve_batch", batch)
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", 8 * 12 ** 2)
+        classes = multistart_search(prob, 48, 41)
+        assert_same_classes(classes, expected)
+        chunks = -(-counts["converged"] // 8)
+        assert chunks > 1
+        assert len(classes) < counts["converged"]
+        assert counts["draws"] == 48
+        assert counts["bookkeeping"] <= chunks + len(classes)
+        assert counts["configurations"] == counts["draws"] + len(classes)
 
     def test_damped_matrix_is_eye_formula(self, monkeypatch):
         # the damping is added in place on the diagonal of a copy of each
@@ -392,8 +465,7 @@ class TestGradientTest:
         for mine, theirs in zip(results, reference, strict=True):
             assert mine.converged == theirs.converged
             if theirs.converged:
-                assert np.array_equal(mine.config.points,
-                                      theirs.config.points)
+                assert np.array_equal(mine.points, theirs.points)
                 assert mine.residual_history == theirs.residual_history
             else:
                 assert mine.iterations <= theirs.iterations
@@ -618,6 +690,41 @@ class TestFingerprint:
         assert not fp_a.matches(fp_b)
 
 
+    @pytest.mark.parametrize("k, masses, flat_plane", [
+        (3, [1.0, 1.0, 1.0, 1.0, 1.0], False),
+        (5, [2.0, 0.5, 2.0, 1.0, 0.5, 2.0], False),
+        (2, [1.0, 2.0, 1.0, 2.0, 3.0, 1.0, 2.0], False),
+        (4, [1.0, 3.0, 1.0, 3.0, 1.0], True),
+    ], ids=["odd_k", "odd_k_mass_ties", "mass_ties", "flat_plane"])
+    def test_stack_matches_lone_calls(self, k, masses, flat_plane):
+        # each row of the stacked bookkeeping has the bits that the public
+        # stack-of-one canonicalize and fingerprint, and the plane-by-plane
+        # reference, give its set alone: odd k is centred, bodies of tied
+        # mass are ordered by weighted norm, and a 2-plane whose bodies all
+        # lie within 1e-9 * scale of the origin is left unturned
+        rng = np.random.default_rng(len(masses) * k)
+        prob = Problem(k, masses, np.ones(k // 2), -1.5)
+        stack = np.array([random_config(rng, len(masses), k).points
+                          for _ in range(7)])
+        if flat_plane:
+            stack[:, :, 2:] = 1e-12 * rng.normal(size=stack[:, :, 2:].shape)
+        canonical, distances, norms = solver._canonical_fingerprints(stack,
+                                                                     prob)
+        for row, points in enumerate(stack):
+            canon = canonicalize(Configuration(points), prob)
+            fp = fingerprint(canon, prob)
+            ref = lone_canonical_fingerprint(points, prob)
+            for mine in (canon.points, ref[0]):
+                assert mine.tobytes() == canonical[row].tobytes()
+            for mine in (fp.sorted_distances, ref[1]):
+                assert mine.tobytes() == distances[row].tobytes()
+            for mine in (fp.sorted_mass_weighted_norms, ref[2]):
+                assert mine.tobytes() == norms[row].tobytes()
+        if flat_plane:
+            assert np.array_equal(canonical[:, :, 2:], stack[:, :, 2:])
+        else:
+            assert not np.array_equal(canonical, stack)
+
     @staticmethod
     def _with_side(side, values):
         """A fingerprint with ``values`` on one side, fixed on the other."""
@@ -668,7 +775,7 @@ class TestFingerprint:
         for result in solver._trial_results(prob, 100, 3, SolveOptions()):
             if not result.converged:
                 continue
-            canonical = canonicalize(result.config, prob)
+            canonical = canonicalize(Configuration(result.points), prob)
             fp = fingerprint(canonical, prob)
             for known in reference:
                 if known[1].matches(fp):
