@@ -7,8 +7,10 @@ Every pair quantity derives from one ``pair_geometry`` pass over a stack
 of configurations, shape (B, n, k): Q_j - Q_i and r^2 with an inf
 diagonal, where r^(2a) and r^(2a+1) vanish. The ``*_from`` kernels take
 that geometry, so the LM solver, which keeps each trial's, measures no
-pair twice; the integrator measures each stage into the buffers of one
-``pair_geometry_workspace`` and has ``forces_from`` write into its own.
+pair twice; the integrator measures each stage into the buffers of a
+``pair_geometry_workspace``, which takes about two thirds of a one-shot
+pass's time at n = 3 to 12. Nothing else is written into buffers: the
+arithmetic after the geometry costs no more as plain expressions.
 The force law is written once, in ``forces_from``. The
 one-configuration kernels (``accel``, the tests' and the benchmark's
 reference, ``residual_stack``, ``jacobian_dense``, ``pair_distances``,
@@ -65,11 +67,9 @@ def min_distance_from(r2):
     return np.sqrt(np.minimum.reduce(r2, axis=(1, 2), initial=np.inf))
 
 
-def forces_from(diff, r2a, masses, out=None, weights=None):
-    """sum_{j!=i} m_j (Q_j - Q_i) r2a_ij with r2a = r^(2a), shape (B, n, k),
-    into optional buffers: ``out`` and ``weights`` for m_j r2a_ij."""
-    weights = np.multiply(masses, r2a, out=weights)
-    return np.einsum("bij,bijk->bik", weights, diff, out=out)
+def forces_from(diff, r2a, masses):
+    """sum_{j!=i} m_j (Q_j - Q_i) r2a_ij with r2a = r^(2a), shape (B, n, k)."""
+    return np.einsum("bij,bijk->bik", masses * r2a, diff)
 
 
 def jacobian_from(diff, r2, r2a, masses, asq, a):

@@ -6,11 +6,15 @@ The force on body i is sum_{j!=i} m_j (q_j - q_i) |q_j - q_i|^(2a);
 geometry. The integrator is an adaptive Dormand-Prince 5(4) pair with PI
 step control; it aborts cleanly with a SingularityError when bodies
 approach collision, or when an accepted step carries a pair through one.
-Each integration builds one workspace: every stage point, its pair
-geometry and its derivative are written into buffers allocated once.
+Each integration allocates two phase points, the accepted state and the
+stage point, and measures each one's pair geometry into the buffers of
+its own ``pair_geometry_workspace``, in about two thirds of a one-shot
+``pair_geometry``'s time. Stage sums, error scales, departures, dense
+samples and forces are plain numpy expressions: at these sizes a buffer
+saves them nothing.
 
 ``integrate`` works in the fixed frame: it cuts a step at every sample
-time and copies the samples out of the workspace.
+time and copies each sample from the accepted state.
 ``co_rotating_trajectory`` runs the same loop in the frame that rotates
 at the problem's rates, where a relative equilibrium is a fixed point.
 There the first step is fitted to the departure from rest, from the
@@ -20,8 +24,8 @@ sample is read from the pair's continuous extension on the step that
 covers it, and the error is also controlled relative to the departure
 from rest, so a tiny departure that grows is followed rather than
 stepped over. ``relative_equilibrium_deviation`` reads the largest
-departure from those samples; ``rigid_rotation_trajectory`` maps them
-back to the fixed frame.
+departure from those samples; ``to_fixed_frame`` maps them back to the
+fixed frame.
 """
 
 from __future__ import annotations
@@ -204,21 +208,13 @@ def _rms(q):
     return np.sqrt(np.add.reduce(q * q) / q.size)
 
 
-def _departure(y, rest, work):
-    return float(np.maximum.reduce(
-        np.abs(np.subtract(y, rest, out=work), out=work)))
-
-
-def _scaled_err(err_vec, y, y_new, tol, work, cap):
-    """RMS of err_vec / (tol + tol max(|y|, |y_new|)), scaled in ``work``;
-    with a ``cap``, each scale is at most cap + _DEPARTURE_FLOOR."""
-    sc = np.maximum(np.abs(y, out=work[0]), np.abs(y_new, out=work[1]),
-                    out=work[0])
-    sc *= tol
-    sc += tol
+def _scaled_err(err_vec, y, y_new, tol, cap):
+    """RMS of err_vec / (tol + tol max(|y|, |y_new|)); with a ``cap``,
+    each scale is at most cap + _DEPARTURE_FLOOR."""
+    sc = tol * np.maximum(np.abs(y), np.abs(y_new)) + tol
     if cap is not None:
-        np.minimum(sc, cap + _DEPARTURE_FLOOR, out=sc)
-    return float(_rms(np.divide(err_vec, sc, out=sc)))
+        sc = np.minimum(sc, cap + _DEPARTURE_FLOOR)
+    return float(_rms(err_vec / sc))
 
 
 def _initial_step(derivative_at, y0, f0, tol):
@@ -333,35 +329,29 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
     a = problem.a
     nk = n * k
 
-    # the workspace: each stage point is written into y_new, its geometry
-    # measured into measure_new's buffers and its dy/dt into its row of
-    # ``stages``. An accepted step swaps the points, so a rejected one
-    # leaves y, its geometry and stages[0], dy/dt at y, untouched.
+    # the two phase points and their geometry workspaces, the only
+    # buffers that pay: each stage point is written into y_new, its pair
+    # geometry measured into measure_new's buffers and its dy/dt into its
+    # row of ``stages``. An accepted step swaps the points, so a rejected
+    # one leaves y, its geometry and stages[0], dy/dt at y, untouched.
     stages = np.empty((7, 2 * nk))
-    stage_acc = stages[:, nk:].reshape(7, 1, n, k)
-    weights = np.empty((1, n, n))
-    stage_sum = np.empty(2 * nk)
-    err_work = np.empty((2, 2 * nk))
     y, y_new = np.empty((2, 2 * nk))
     measure, measure_new = [_kernels.pair_geometry_workspace(
         point[:nk].reshape(1, n, k)) for point in (y, y_new)]
     if generator is not None:
         # (x, x') @ (diag(asq), -2 G^T): the centrifugal and Coriolis terms
         frame = np.stack([np.diag(problem.asq), -2.0 * generator.T])
-        frame_terms = np.empty((2, n, k))
 
     def derivative(s, point, measure):
         """Write dy/dt at ``point`` into stages[s]; return its pair
         geometry, which ``measure`` measures."""
         diff, r2 = measure()
-        stages[s, :nk] = point[nk:]
-        np.power(r2, a, out=weights)
-        acc = _kernels.forces_from(diff, weights, m, out=stage_acc[s],
-                                   weights=weights)
+        acc = _kernels.forces_from(diff, np.power(r2, a), m)[0]
         if generator is not None:
-            np.matmul(point.reshape(2, n, k), frame, out=frame_terms)
-            acc += frame_terms[0]
-            acc += frame_terms[1]
+            terms = point.reshape(2, n, k) @ frame
+            acc = acc + terms[0] + terms[1]
+        stages[s, :nk] = point[nk:]
+        stages[s, nk:] = acc.ravel()
         return diff, r2
 
     def probe(y1):
@@ -382,8 +372,6 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
         h = _departure_step(probe, y, stages[0], generator)
     h = min(h, t_end - t0)
     err_old = 1e-4
-    stage_rows = [(stages[:s].T, _DP_A[s, :s]) for s in range(1, 7)]
-    stages_t = stages.T
 
     out = np.empty((samples.size, 2, n, k))
     out_flat = out.reshape(samples.size, 2 * nk)
@@ -402,21 +390,18 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
                 f"step size underflow at t={t:.6g}", time=t
             )
         try:
-            for s, (prev, coef) in enumerate(stage_rows, 1):
-                np.matmul(prev, coef, out=stage_sum)
-                stage_sum *= h_step
-                np.add(y, stage_sum, out=y_new)
+            for s in range(1, 7):
+                np.add(y, h_step * (stages[:s].T @ _DP_A[s, :s]), out=y_new)
                 diff_new, r2_new = derivative(s, y_new, measure_new)
             # FSAL: the last stage point is the new state, and its
             # stage is dy/dt there
-            np.matmul(stages_t, _DP_E, out=stage_sum)
-            stage_sum *= h_step
+            err_vec = h_step * (stages.T @ _DP_E)
             cap = None
             if rest is not None:
                 # y's departure was measured when y was accepted
-                departure_new = _departure(y_new, rest, err_work[1])
+                departure_new = float(np.abs(y_new - rest).max())
                 cap = _DEPARTURE_RTOL * max(departure, departure_new)
-            err = _scaled_err(stage_sum, y, y_new, tol, err_work, cap)
+            err = _scaled_err(err_vec, y, y_new, tol, cap)
         except FloatingPointError:
             err = np.inf
         if not math.isfinite(err):
@@ -432,10 +417,8 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
         # stages (none in the fixed frame, whose steps end at samples)
         while s_idx < samples.size and samples[s_idx] < t:
             theta = (samples[s_idx] - t_old) / h_step
-            np.matmul(stages_t, _DP_DENSE @ np.power(theta, (1, 2, 3, 4)),
-                      out=stage_sum)
-            stage_sum *= h_step
-            np.add(y, stage_sum, out=out_flat[s_idx])
+            out_flat[s_idx] = y + h_step * (
+                stages.T @ (_DP_DENSE @ np.power(theta, (1, 2, 3, 4))))
             s_idx += 1
         y, y_new = y_new, y
         departure = departure_new
@@ -515,13 +498,6 @@ def to_fixed_frame(trajectory, problem):
                       for t in trajectory.times])
     x, x_dot = trajectory.positions, trajectory.velocities
     return Trajectory(trajectory.times, x @ rot_t, (x_dot + x @ gen.T) @ rot_t)
-
-
-def rigid_rotation_trajectory(config, problem, t_end, samples=32, tol=1e-10):
-    """Integrated motion from ``rigid_rotation_state`` of ``config``, in the
-    fixed frame: ``co_rotating_trajectory`` mapped back."""
-    return to_fixed_frame(
-        co_rotating_trajectory(config, problem, t_end, samples, tol), problem)
 
 
 def relative_equilibrium_deviation(config, problem, t_end, samples=32, tol=1e-10):

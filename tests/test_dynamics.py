@@ -16,6 +16,7 @@ from releq import (
     potential_energy,
     relative_equilibrium_deviation,
     rigid_rotation_state,
+    rotation_generator,
     rotation_matrix,
     save_document,
 )
@@ -40,59 +41,88 @@ def eccentric_kepler():
     return prob, state, 2 * np.pi * np.sqrt(semi_major ** 3 / 2.0)
 
 
-def plain_dp5(initial, problem, t_end, tol):
+def plain_dp5(initial, problem, t_end, tol, generator=None, samples=64):
     """``integrate``'s steps written plainly, with a new array for every
-    stage and no collision checks, sampled at the default 65 times."""
+    stage and no collision checks, sampled at ``samples`` + 1 uniform times.
+
+    With a rotation ``generator`` these are ``co_rotating_trajectory``'s
+    steps instead: the centrifugal and Coriolis terms join the forces, the
+    first step is ``_departure_step``'s, each error scale is capped at
+    _DEPARTURE_RTOL times the departure from rest, and the steps run to
+    the last sample, reading the others from the _DP_DENSE extension.
+    Also returns how many accepted steps had an error scale the cap lowered.
+    """
     n, k = problem.n, problem.k
     nk = n * k
 
     def f(y):
-        acc = _kernels.accel(y[:nk].reshape(n, k), problem.masses, problem.a)
+        x, x_dot = y[:nk].reshape(n, k), y[nk:].reshape(n, k)
+        acc = _kernels.accel(x, problem.masses, problem.a)
+        if generator is not None:
+            acc = acc + x @ np.diag(problem.asq) + x_dot @ (-2.0 * generator.T)
         return np.concatenate([y[nk:], acc.ravel()])
 
     def rms(q):
         return np.sqrt(np.add.reduce(q * q) / q.size)
 
-    samples = np.linspace(initial.time, t_end, 65)
+    times = np.linspace(initial.time, t_end, samples + 1)
     t = initial.time
     y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
+    rest = y.copy()
     f0 = f(y)
-    sc = tol + tol * np.abs(y)
-    d0, d1 = rms(y / sc), rms(f0 / sc)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    d2 = rms((f(y + h0 * f0) - f0) / sc) / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 \
-        else (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, t_end - t)
+    if generator is None:
+        sc = tol + tol * np.abs(y)
+        d0, d1 = rms(y / sc), rms(f0 / sc)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        d2 = rms((f(y + h0 * f0) - f0) / sc) / h0
+        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 \
+            else (0.01 / max(d1, d2)) ** 0.2
+        h = min(100.0 * h0, h1)
+    else:
+        h = dynamics._departure_step(f, y, f0, generator)
+    h = min(h, t_end - t)
     err_old = 1e-4
-    positions, velocities = [], []
-    for target in samples:
-        while t < target:
-            h_step = min(h, target - t)
-            stages = [f0]
-            for s in range(1, 7):
-                prev = np.array(stages).T
-                y_new = y + h_step * (prev @ dynamics._DP_A[s, :s])
-                stages.append(f(y_new))
-            err_vec = h_step * (np.array(stages).T @ dynamics._DP_E)
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(rms(err_vec / sc))
-            if err <= 1.0:
-                t, y, f0 = t + h_step, y_new, stages[6]
-                fac = dynamics._SAFETY * err ** -dynamics._PI_EXPO \
-                    * err_old ** dynamics._PI_BETA \
-                    if err > 0.0 else dynamics._MAX_FACTOR
-                h = h_step * min(dynamics._MAX_FACTOR,
-                                 max(dynamics._MIN_FACTOR, fac))
-                err_old = max(err, 1e-4)
-                if target - t < 1e-14 * max(1.0, abs(target)):
-                    t = target
-            else:
-                h = h_step * max(dynamics._MIN_FACTOR,
-                                 dynamics._SAFETY * err ** -dynamics._PI_EXPO)
-        positions.append(y[:nk].reshape(n, k))
-        velocities.append(y[nk:].reshape(n, k))
-    return samples, np.array(positions), np.array(velocities)
+    out, capped = [y], 0
+    while len(out) < times.size:
+        target = times[len(out) if generator is None else -1]
+        h_step = min(h, target - t)
+        stages = [f0]
+        for s in range(1, 7):
+            prev = np.array(stages).T
+            y_new = y + h_step * (prev @ dynamics._DP_A[s, :s])
+            stages.append(f(y_new))
+        err_vec = h_step * (np.array(stages).T @ dynamics._DP_E)
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        lowered = False
+        if generator is not None:
+            departure = max(np.abs(y - rest).max(), np.abs(y_new - rest).max())
+            cap = dynamics._DEPARTURE_RTOL * departure \
+                + dynamics._DEPARTURE_FLOOR
+            lowered = (sc > cap).any()
+            sc = np.minimum(sc, cap)
+        err = float(rms(err_vec / sc))
+        if not err <= 1.0:
+            h = h_step * max(dynamics._MIN_FACTOR,
+                             dynamics._SAFETY * err ** -dynamics._PI_EXPO)
+            continue
+        t_old, t = t, t + h_step
+        if target - t < 1e-14 * max(1.0, abs(target)):
+            t = target
+        while len(out) < times.size and times[len(out)] < t:
+            theta = (times[len(out)] - t_old) / h_step
+            weights = dynamics._DP_DENSE @ theta ** np.arange(1.0, 5.0)
+            out.append(y + h_step * (np.array(stages).T @ weights))
+        y, f0 = y_new, stages[6]
+        capped += lowered
+        fac = dynamics._SAFETY * err ** -dynamics._PI_EXPO \
+            * err_old ** dynamics._PI_BETA \
+            if err > 0.0 else dynamics._MAX_FACTOR
+        h = h_step * min(dynamics._MAX_FACTOR, max(dynamics._MIN_FACTOR, fac))
+        err_old = max(err, 1e-4)
+        while len(out) < times.size and times[len(out)] <= t:
+            out.append(y)
+    out = np.array(out).reshape(times.size, 2, n, k)
+    return times, out[:, 0], out[:, 1], capped
 
 
 def pinned_cases():
@@ -295,7 +325,8 @@ class TestIntegrate:
         # from its own stage's r^2: the initial state from stage 0, an
         # accepted one from its last stage, however many steps are rejected.
         # Every pair-geometry measurement, one-shot or into a workspace,
-        # is one _measure_pairs call.
+        # is one _measure_pairs call. An integration builds the workspaces
+        # of its two phase points and measures nothing one-shot.
         prob, cfg = trigon
         if case == "exact-pair":
             # half masses one apart at rate 1: r^(2a) = 1 for every a, so
@@ -305,8 +336,8 @@ class TestIntegrate:
             assert not np.any(acceleration(cfg.points, prob) + cfg.points)
         if case in ("co-rotating", "exact-pair"):
             def run(samples=samples):
-                dynamics.rigid_rotation_trajectory(cfg, prob, 2 * np.pi,
-                                                   samples)
+                dynamics.to_fixed_frame(dynamics.co_rotating_trajectory(
+                    cfg, prob, 2 * np.pi, samples), prob)
         else:
             if case == "trigon":
                 state, t_end = rigid_rotation_state(cfg, prob), 2 * np.pi
@@ -315,7 +346,8 @@ class TestIntegrate:
 
             def run():
                 integrate(state, prob, t_end, 1e-6)
-        calls = {"_measure_pairs": 0, "forces_from": 0}
+        calls = {"_measure_pairs": 0, "forces_from": 0,
+                 "pair_geometry_workspace": 0, "pair_geometry": 0}
 
         def counted(name):
             kernel = getattr(_kernels, name)
@@ -330,6 +362,8 @@ class TestIntegrate:
         run()
         assert calls["forces_from"] > 0
         assert calls["_measure_pairs"] == calls["forces_from"]
+        assert calls["pair_geometry_workspace"] == 2
+        assert calls["pair_geometry"] == 0
         if case in ("co-rotating", "exact-pair"):
             # at rest in the co-rotating frame the first step is fitted to
             # the departure's rate, with no climb from a tiny step, and the
@@ -354,17 +388,36 @@ class TestIntegrate:
         assert np.array_equal(fine.positions[::4], coarse.positions)
         assert np.array_equal(fine.velocities[::4], coarse.velocities)
 
-    @pytest.mark.parametrize("case", range(4),
-                             ids=["trigon", "odd_k", "k4", "eccentric"])
+    @pytest.mark.parametrize("case", range(6),
+                             ids=["trigon", "odd_k", "k4", "eccentric",
+                                  "co-rotating-trigon", "co-rotating-12-ring"])
     def test_bits_match_plain_stepping(self, case):
-        # the workspace buffers change where each stage is written, never
-        # what is computed: every sample equals the plain stepping's bits
-        prob, state, t_end, tol = pinned_cases()[case]
-        traj = integrate(state, prob, t_end, tol)
-        times, positions, velocities = plain_dp5(state, prob, t_end, tol)
+        # the integrator's phase points and geometry workspaces change
+        # where each stage is written, never what is computed: every sample
+        # equals the plain stepping's bits. The co-rotating runs read 16
+        # samples from the continuous extension, the trigon and the
+        # unstable 12-ring at a = -2, and on both the departure cap
+        # lowers the error scale of some steps
+        if case < 4:
+            prob, state, t_end, tol = pinned_cases()[case]
+            traj = integrate(state, prob, t_end, tol)
+            expected = plain_dp5(state, prob, t_end, tol)
+        else:
+            n, a = ((3, -1.5), (12, -2.0))[case - 4]
+            prob = Problem(2, [1.0] * n, [1.0], a)
+            rho = oracles.ngon_circumradius(n, 1.0, 1.0, a)
+            cfg = Configuration(oracles.ngon_points(n, rho))
+            t_end, tol = 2 * np.pi, 1e-10
+            traj = dynamics.co_rotating_trajectory(cfg, prob, t_end, 16, tol)
+            rest = PhaseState(cfg.points, np.zeros_like(cfg.points))
+            expected = plain_dp5(rest, prob, t_end, tol,
+                                 rotation_generator([1.0], 2), 16)
+        times, positions, velocities, capped = expected
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.positions, positions)
         assert np.array_equal(traj.velocities, velocities)
+        if case >= 4:
+            assert capped > 0
 
     def test_energy_drift(self, two_body):
         prob, cfg = two_body
@@ -588,7 +641,8 @@ def test_trajectory_csv_layout(two_body, tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and int(first[1]) == 0
-    traj = dynamics.rigid_rotation_trajectory(cfg, prob, 1.0, 2, 1e-8)
+    traj = dynamics.to_fixed_frame(
+        dynamics.co_rotating_trajectory(cfg, prob, 1.0, 2, 1e-8), prob)
     last = [float(x) for x in lines[-1].split(",")]
     assert last == [traj.times[2], 1.0, *traj.positions[2, 1],
                     *traj.velocities[2, 1]]

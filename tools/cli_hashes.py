@@ -80,9 +80,12 @@ SOLVER_FLAGS = {
 
 
 def _integrator_lines(path):
-    """The verify and integrate lines, which run the integrator."""
+    """The verify and integrate lines, which run the integrator: a loose
+    tolerance rejects steps, a long horizon lets departures grow."""
     return [["verify", path], ["verify", path, "--samples", "4"],
+            ["verify", path, "--t-end", "20"],
             ["integrate", path, "--samples", "4"],
+            ["integrate", path, "--samples", "4", "--tol", "1e-6"],
             ["integrate", path, "--samples", "4", "--format", "csv"]]
 
 
