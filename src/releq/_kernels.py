@@ -132,14 +132,9 @@ def min_pair_distance(positions):
     return float(min_distance_from(pair_geometry(positions[None])[1])[0])
 
 
-# fingerprints ask once per stack of point sets: triu_indices ~30 us, hit 0.1 us
-@functools.lru_cache(maxsize=16)
 def pair_indices(n):
-    """Row-major upper-triangle pairs (i < j) of n bodies; cached, read-only."""
-    iu, ju = np.triu_indices(n, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    """Row-major upper-triangle pairs (i < j) of n bodies."""
+    return np.triu_indices(n, 1)
 
 
 def backend():

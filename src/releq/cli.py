@@ -112,24 +112,32 @@ def _cmd_verify(args):
     gaps = [diag.to_dict() for diag in lemma_identity_gaps(config, problem)]
     centroid = weighted_centroid_residual(config, problem)
     t_end = _horizon(problem, args.t_end)
-    deviation = relative_equilibrium_deviation(
-        config, problem, t_end, samples=args.samples
-    )
+    error = None
+    try:
+        deviation = relative_equilibrium_deviation(
+            config, problem, t_end, samples=args.samples
+        )
+    except SingularityError as exc:
+        # the static checks' report stands when the integration aborts
+        print(f"error: {exc}", file=sys.stderr)
+        deviation, error = None, str(exc)
     passed = report.max_norm <= args.tol
     payload = {
         "residual": report.to_dict(),
         "lemma_gaps": gaps,
         "weighted_centroid_residual": centroid.tolist(),
         "relative_equilibrium_deviation": deviation,
+        **({} if error is None else {"deviation_error": error}),
         "deviation_t_end": t_end,
         "tol": args.tol,
         "passed": passed,
     }
     status = "PASS" if passed else "FAIL"
+    shown = f"{deviation:.6e}" if error is None else "failed"
     print(f"verify: {status} residual_max={report.max_norm:.6e} "
-          f"tol={args.tol:.1e} deviation={deviation:.6e}")
+          f"tol={args.tol:.1e} deviation={shown}")
     _emit(args, json_chunks(payload))
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if passed and error is None else EXIT_VERIFY_FAILED
 
 
 def _cmd_solve(args):

@@ -96,12 +96,8 @@ class Trajectory:
 
 def _guard_positions(positions, problem):
     """Pair geometry of ``positions``, checked for shape and near-collision."""
+    check_problem_config(problem, positions)
     pos = _kernels.as_input(positions)
-    if pos.shape != (problem.n, problem.k):
-        raise ValueError(
-            f"positions shape {pos.shape} does not match problem "
-            f"(n={problem.n}, k={problem.k})"
-        )
     diff, r2 = _kernels.pair_geometry(pos[None])
     _check_separation(pos, r2, None)
     return diff, r2
@@ -322,9 +318,8 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
     if samples[0] < t0 or samples[-1] > t_end + 1e-12 * max(1.0, abs(t_end)):
         raise ValueError("sample_times must lie within [initial.time, t_end]")
 
+    check_problem_config(problem, positions)
     n, k = problem.n, problem.k
-    if positions.shape != (n, k):
-        raise ValueError("initial state does not match the problem shape")
     m = problem.masses
     a = problem.a
     nk = n * k

@@ -192,9 +192,11 @@ def pairwise_distances(config):
 
 
 def check_problem_config(problem, config):
-    """Raise if the configuration shape does not match the problem."""
-    if config.points.shape != (problem.n, problem.k):
+    """Raise if the shape of a configuration, or of an array of points,
+    does not match the problem."""
+    shape = np.shape(getattr(config, "points", config))
+    if shape != (problem.n, problem.k):
         raise ValueError(
-            f"configuration shape {config.points.shape} does not match "
+            f"configuration shape {shape} does not match "
             f"problem (n={problem.n}, k={problem.k})"
         )

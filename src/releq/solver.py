@@ -36,32 +36,32 @@ when it reaches a stationary point of ||F||^2 that is no zero:
 ||J^T F|| <= GRADIENT_RTOL * ||J||_F * ||F||, tested each time the trial
 is linearized, after the convergence and iteration tests.
 
-The batch yields each finished trial's raw values as a ``_Trial``. A
-search does its class bookkeeping on stacks: it takes the converged
-trials in trial order, in chunks of at most its slot count, and
-canonicalizes each chunk as one stack whose pair geometry, measured
-once, serves the ``Configuration`` collision check of every canonical
-set and the fingerprints (``canonicalize`` and ``fingerprint`` run the
-same code on a stack of one). The classes' fingerprints are kept as two
-stacked arrays in discovery order, and each trial is tested against all
-of them in one array comparison: it joins the first class it matches,
-by the rule of ``EquilibriumFingerprint.matches``, or opens a new class,
-whose first trial alone becomes a validated ``SolveResult``.
+The batch yields each finished trial as a ``SolveResult``. A search
+does its class bookkeeping on stacks: it takes the converged trials in
+trial order, in chunks of at most its slot count, and canonicalizes
+each chunk as one stack whose pair geometry, measured once, serves the
+collision check of every canonical set and the fingerprint rows
+(``canonicalize`` and ``fingerprint`` run the same code on a stack of
+one). The classes' rows are kept as two stacked arrays in discovery
+order, and each trial's are tested against all of them in one array
+comparison: it joins the first class it matches, by the rule of
+``EquilibriumFingerprint.matches``, or opens a new class, which alone
+gets an ``EquilibriumFingerprint`` object.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
 from .criterion import residual, residual_scale_batch
-from .model import (Configuration, Problem, check_problem_config,
-                    check_separation)
+from .model import (Configuration, Problem, _frozen_array,
+                    check_problem_config, check_separation)
 
 # A multistart search runs so many trials at once that one
 # (slots, n*k, n*k) array has at most this many float64 entries (512 KB).
@@ -123,30 +123,10 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Outcome of one local solve, with the per-step residual trace."""
+    """Outcome of one local solve, with the per-step residual trace.
 
-    config: Configuration
-    residual_max: float
-    iterations: int
-    termination: Termination
-    residual_history: tuple
-
-    @property
-    def converged(self):
-        return self.termination is Termination.CONVERGED
-
-    def to_dict(self):
-        return {
-            "points": self.config.points.tolist(),
-            "residual_max": self.residual_max,
-            "iterations": self.iterations,
-            "termination": self.termination.value,
-        }
-
-
-class _Trial(NamedTuple):
-    """A finished trial's raw outcome: a ``SolveResult`` whose points are
-    not yet validated as a ``Configuration``."""
+    ``points`` is an owned read-only copy; ``config``, their validated
+    ``Configuration``, is built on first use (see ``_solve_batch``)."""
 
     points: np.ndarray
     residual_max: float
@@ -154,14 +134,24 @@ class _Trial(NamedTuple):
     termination: Termination
     residual_history: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "points", _frozen_array(self.points))
+
+    @functools.cached_property
+    def config(self):
+        return Configuration(self.points)
+
     @property
     def converged(self):
         return self.termination is Termination.CONVERGED
 
-
-def _solved(trial, points):
-    """The SolveResult of ``trial`` at ``points``, validated."""
-    return SolveResult(Configuration(points), *trial[1:])
+    def to_dict(self):
+        return {
+            "points": self.points.tolist(),
+            "residual_max": self.residual_max,
+            "iterations": self.iterations,
+            "termination": self.termination.value,
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,17 +169,14 @@ class EquilibriumFingerprint:
     sorted_mass_weighted_norms: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.sorted_distances, dtype=float)
-        w = np.array(self.sorted_mass_weighted_norms, dtype=float)
-        d.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "sorted_distances", d)
-        object.__setattr__(self, "sorted_mass_weighted_norms", w)
+        for name in ("sorted_distances", "sorted_mass_weighted_norms"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     def matches(self, other):
         return _first_match(self.sorted_distances[None],
                             self.sorted_mass_weighted_norms[None],
-                            other) is not None
+                            other.sorted_distances,
+                            other.sorted_mass_weighted_norms) is not None
 
     def to_dict(self):
         return {
@@ -198,16 +185,15 @@ class EquilibriumFingerprint:
         }
 
 
-def _first_match(distances, norms, fp):
-    """Index of the first row pair of the stacks that ``fp`` matches, or None.
-
-    Row c of ``distances`` and ``norms`` is the known fingerprint c. It
-    matches when, on each side, max|known - new| <= FINGERPRINT_RTOL *
-    max(1, max|known|, max|new|); rows of another length never match.
+def _first_match(distances, norms, fp_distances, fp_norms):
+    """Index of the first known fingerprint, row c of ``distances`` and
+    ``norms``, that the rows ``fp_distances`` and ``fp_norms`` match, or
+    None. They match when, on each side, max|known - new| <=
+    FINGERPRINT_RTOL * max(1, max|known|, max|new|); rows of another
+    length never match.
     """
     hit = True
-    for known, new in ((distances, fp.sorted_distances),
-                       (norms, fp.sorted_mass_weighted_norms)):
+    for known, new in ((distances, fp_distances), (norms, fp_norms)):
         if known.shape[1:] != new.shape:
             return None
         ref = np.maximum(np.abs(known).max(axis=1, initial=1.0),
@@ -389,10 +375,11 @@ def _solve_batch(seeds, problem, opts, slots):
     trial steps are accepted only when they decrease the trial's stacked
     residual norm, and steps whose minimum separation falls below the
     collision guard are rejected with increased damping instead of being
-    evaluated. Each finished trial is yielded as a ``_Trial`` record of
-    its raw values, in seed order, as soon as every earlier trial has
-    finished. Its points are its seed or a step the collision guard
-    cleared; no ``Configuration`` is built for them here.
+    evaluated. Each finished trial is yielded as a ``SolveResult``, in
+    seed order, as soon as every earlier trial has finished. Its points
+    are its seed or a step that cleared the collision guard, which is
+    stricter than ``Configuration``'s check, so its deferred ``config``
+    never raises.
     """
     n, k = problem.n, problem.k
     masses, asq, a = problem.masses, problem.asq, problem.a
@@ -417,8 +404,8 @@ def _solve_batch(seeds, problem, opts, slots):
         if not done.size:
             return
         for i in done:
-            finished[int(order[i])] = _Trial(
-                points[i].copy(), float(max_norm[i]), int(iterations[i]),
+            finished[int(order[i])] = SolveResult(
+                points[i], float(max_norm[i]), int(iterations[i]),
                 termination, tuple(history[i]))
         active[done] = False
 
@@ -547,10 +534,10 @@ def solve_from_seed(seed, problem, opts=None):
         start = seed if even is problem else Configuration(seed.points[:, :-1])
     except ValueError:
         max_norm = residual(seed, problem).max_norm
-        return SolveResult(seed, max_norm, 0, Termination.COLLISION_GUARD,
-                           (max_norm,))
-    trial = next(_solve_batch([start.points], even, opts, 1))
-    return _solved(trial, _lifted(trial.points, problem.k))
+        return SolveResult(seed.points, max_norm, 0,
+                           Termination.COLLISION_GUARD, (max_norm,))
+    result = next(_solve_batch([start.points], even, opts, 1))
+    return replace(result, points=_lifted(result.points, problem.k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,7 +557,7 @@ def _slot_count(problem, trials):
 
 def _trial_results(problem, trials, rng_seed, opts):
     """Solve trials 0..trials-1 in one rolling lock-step batch, in order,
-    as ``_Trial`` records.
+    as ``SolveResult`` records.
 
     Trial t draws its seed from the generator (rng_seed, t) when a slot
     frees up for it.
@@ -607,19 +594,20 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     for chunk in iter(lambda: list(itertools.islice(converged, size)), []):
         canonical, chunk_distances, chunk_norms = _canonical_fingerprints(
             np.array([trial.points for trial in chunk]), even)
-        for trial, points, fp in zip(
-                chunk, canonical,
-                map(EquilibriumFingerprint, chunk_distances, chunk_norms)):
+        for trial, points, fp_distances, fp_norms in zip(
+                chunk, canonical, chunk_distances, chunk_norms):
             count = len(found)
-            hit = _first_match(distances[:count], norms[:count], fp)
+            hit = _first_match(distances[:count], norms[:count],
+                               fp_distances, fp_norms)
             if hit is not None:
                 found[hit][2] += 1
                 continue
             if count == len(norms):
                 distances, norms = _doubled(distances), _doubled(norms)
-            distances[count] = fp.sorted_distances
-            norms[count] = fp.sorted_mass_weighted_norms
-            found.append([_solved(trial, _lifted(points, problem.k)), fp, 1])
+            distances[count] = fp_distances
+            norms[count] = fp_norms
+            found.append([replace(trial, points=_lifted(points, problem.k)),
+                          EquilibriumFingerprint(fp_distances, fp_norms), 1])
     return [SearchClass(*cls) for cls in found]
 
 

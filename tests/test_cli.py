@@ -78,6 +78,32 @@ class TestVerify:
         assert code == 2
         assert "a < -1/2" in err
 
+    def test_aborted_integration_keeps_the_report(self, tmp_path, capsys):
+        # the unstable 12-ring at a = -2 departs from rest so fast that a
+        # long horizon aborts the dynamic check: the static checks' report
+        # is still written, and the abort is its one error line and exit 1
+        prob = Problem(2, np.ones(12), [1.0], -2.0)
+        rho = oracles.ngon_circumradius(12, 1.0, 1.0, -2.0)
+        path = tmp_path / "ring12.json"
+        save_document(path, ProblemDocument(
+            prob, Configuration(oracles.ngon_points(12, rho))))
+        runs = []
+        for horizon in ([], ["--t-end", "20"]):
+            out = tmp_path / f"report{len(runs)}.json"
+            code = main(["verify", str(path), "--out", str(out), *horizon])
+            runs.append((code, json.loads(out.read_text()),
+                         capsys.readouterr()))
+        (code, full, _), (aborted_code, aborted, streams) = runs
+        assert code == 0 and aborted_code == 1
+        assert aborted["passed"] is True
+        assert aborted["residual"] == full["residual"]
+        assert aborted["relative_equilibrium_deviation"] is None
+        assert aborted["deviation_error"].startswith("step size underflow")
+        assert "deviation_error" not in full
+        assert streams.err == f"error: {aborted['deviation_error']}\n"
+        assert streams.out.startswith("verify: PASS ")
+        assert streams.out.endswith(" deviation=failed\n")
+
     def test_missing_positions(self, problem_only_doc, capsys):
         assert main(["verify", str(problem_only_doc)]) == 2
         assert "positions" in capsys.readouterr().err
@@ -235,6 +261,18 @@ class TestContinue:
         assert main(["continue", str(two_body_doc),
                      "--a-target", "-0.4"]) == 2
         assert "-0.5" in capsys.readouterr().err
+
+    def test_failed_start_writes_no_report(self, trigon_doc, tmp_path,
+                                           capsys):
+        # no step can reach a tolerance of 1e-300, so the starting solve
+        # stalls and the walk never begins
+        out = tmp_path / "cont.json"
+        assert main(["continue", str(trigon_doc), "--a-target", "-1.2",
+                     "--tol", "1e-300", "--out", str(out)]) == 1
+        streams = capsys.readouterr()
+        assert streams.err == "continue: starting solve failed (stalled)\n"
+        assert streams.out == ""
+        assert not out.exists()
 
 
 class TestProbe:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -496,6 +498,38 @@ class TestIntegrate:
             integrate(state, prob, 1.0, 1e-10)
         assert err.value.time == 0.0
 
+    def test_non_finite_error_estimate_retries_a_tenth(self, monkeypatch):
+        # a head-on pair at a = -100 overflows a stage force and gets one
+        # infinite error estimate: that step is retried at a tenth of its
+        # size, no non-finite state is accepted, and the run still aborts
+        prob = Problem(2, [1.0, 1.0], [1.0], -100.0)
+        state = PhaseState([[0.5, 0.0], [-0.5, 0.0]],
+                           [[-10.0, 0.0], [10.0, 0.0]])
+        estimates, states = [], []
+        scaled_err = dynamics._scaled_err
+        check_separation = dynamics._check_separation
+
+        def estimating(*args):
+            err = scaled_err(*args)
+            estimates.append((sys._getframe(1).f_locals["h_step"], err))
+            return err
+
+        def checking(pos, r2, time):
+            states.append(np.array(pos))
+            return check_separation(pos, r2, time)
+
+        monkeypatch.setattr(dynamics, "_scaled_err", estimating)
+        monkeypatch.setattr(dynamics, "_check_separation", checking)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularityError):
+            integrate(state, prob, 1.0, 1e-6)
+        failed = [i for i, (_, err) in enumerate(estimates)
+                  if not math.isfinite(err)]
+        assert failed
+        for i in failed:
+            assert estimates[i + 1][0] == 0.1 * estimates[i][0]
+        assert states and all(np.isfinite(pos).all() for pos in states)
+
     def test_requested_samples_returned(self, two_body):
         prob, cfg = two_body
         times = np.array([0.3, 1.1, 2.0])
@@ -667,6 +701,24 @@ def test_phase_state_collision_rejected():
 def test_phase_state_validated_as_configuration(positions, velocities):
     with pytest.raises(ValueError):
         PhaseState(positions, velocities)
+
+
+@pytest.mark.parametrize("evaluate", [
+    acceleration, potential_energy,
+    lambda points, prob: integrate(PhaseState(points, np.zeros_like(points)),
+                                   prob, 1.0, 1e-8),
+], ids=["acceleration", "potential_energy", "integrate"])
+@pytest.mark.parametrize("points", [
+    [[1.0, 0.0], [-1.0, 0.0]],
+    [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+], ids=["fewer_bodies", "more_axes"])
+def test_shape_mismatch_rejected(evaluate, points, trigon):
+    # the (n, k) rule of check_problem_config, with its message
+    prob, _ = trigon
+    shape = np.shape(points)
+    with pytest.raises(ValueError, match=re.escape(
+            f"configuration shape {shape} does not match problem (n=3, k=2)")):
+        evaluate(np.array(points), prob)
 
 
 @pytest.mark.parametrize("evaluate", [

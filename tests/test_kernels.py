@@ -77,16 +77,6 @@ def test_min_pair_distance_matches_pair_distances():
         assert _kernels.min_pair_distance(pts) == d[np.triu_indices(n, 1)].min()
 
 
-def test_pair_indices_cached_and_read_only():
-    for n in (2, 5, 12):
-        iu, ju = _kernels.pair_indices(n)
-        expected = np.triu_indices(n, 1)
-        assert np.array_equal(iu, expected[0])
-        assert np.array_equal(ju, expected[1])
-        assert not iu.flags.writeable and not ju.flags.writeable
-        assert _kernels.pair_indices(n)[0] is iu
-
-
 def test_batch_kernels_match_one_configuration():
     # the stacked pair_geometry + *_from path the LM runs
     rng = np.random.default_rng(14)

@@ -328,15 +328,17 @@ class TestMultistart:
 
     def test_bookkeeping_measures_each_chunk_once(self, monkeypatch):
         # outside the LM, a search measures pair geometry once per chunk
-        # of converged trials (8, the slot count here) and once per class,
-        # as it validates the class's representative; it builds a
-        # Configuration per seed draw and per class, none per trial
+        # of converged trials (8, the slot count here); it builds a
+        # Configuration per seed draw and none per class or trial, and an
+        # EquilibriumFingerprint per class. A class's Configuration is
+        # built on the first use of its result's config, once
         prob = Problem(2, np.ones(6), [1.0], -1.5)
         expected = multistart_search(prob, 48, 41)
         counts = Counter()
         in_lm = [False]
         measure, build = _kernels._measure_pairs, solver.Configuration
         draw, solve_batch = solver.sample_seed, solver._solve_batch
+        make_fingerprint = solver.EquilibriumFingerprint
 
         def measuring(*args):
             counts["lm" if in_lm[0] else "bookkeeping"] += 1
@@ -349,6 +351,10 @@ class TestMultistart:
         def drawing(*args):
             counts["draws"] += 1
             return draw(*args)
+
+        def fingerprinting(*args):
+            counts["fingerprints"] += 1
+            return make_fingerprint(*args)
 
         def batch(*args):
             trials = solve_batch(*args)
@@ -364,16 +370,24 @@ class TestMultistart:
         monkeypatch.setattr(_kernels, "_measure_pairs", measuring)
         monkeypatch.setattr(solver, "Configuration", building)
         monkeypatch.setattr(solver, "sample_seed", drawing)
+        monkeypatch.setattr(solver, "EquilibriumFingerprint", fingerprinting)
         monkeypatch.setattr(solver, "_solve_batch", batch)
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", 8 * 12 ** 2)
         classes = multistart_search(prob, 48, 41)
-        assert_same_classes(classes, expected)
         chunks = -(-counts["converged"] // 8)
         assert chunks > 1
         assert len(classes) < counts["converged"]
         assert counts["draws"] == 48
-        assert counts["bookkeeping"] <= chunks + len(classes)
-        assert counts["configurations"] == counts["draws"] + len(classes)
+        assert counts["bookkeeping"] <= chunks
+        assert counts["configurations"] == counts["draws"]
+        assert counts["fingerprints"] == len(classes)
+        for cls in classes:
+            built = counts["configurations"]
+            config = cls.result.config
+            assert counts["configurations"] == built + 1
+            assert cls.result.config is config
+            assert counts["configurations"] == built + 1
+        assert_same_classes(classes, expected)
 
     def test_damped_matrix_is_eye_formula(self, monkeypatch):
         # the damping is added in place on the diagonal of a copy of each
@@ -607,6 +621,18 @@ class TestContinuation:
         with pytest.raises(ValueError):
             continuation_in_exponent(start, prob, -0.4, 5)
 
+    def test_stops_after_a_failed_step(self, trigon, monkeypatch):
+        # the first step spends its budget of 0 iterations without
+        # converging; the walk ends there with that step alone
+        prob, cfg = trigon
+        start = solve_from_seed(cfg, prob)
+        assert start.converged
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
+        steps = continuation_in_exponent(start, prob, -2.5, 3)
+        assert len(steps) == 1
+        assert steps[0][0] == exponent_schedule(prob.a, -2.5, 3)[0]
+        assert steps[0][1].termination is Termination.MAX_ITERATIONS
+
     def test_requires_converged_start(self, two_body):
         prob, _ = two_body
         seed = Configuration([[5e-9, 0.0], [-5e-9, 0.0]])
@@ -763,9 +789,10 @@ class TestFingerprint:
         distances = np.array(rows)
         norms = np.array([fp.sorted_mass_weighted_norms for fp in known])
         assert [fp.matches(new) for fp in known] == [False, True, False, True]
-        assert solver._first_match(distances, norms, new) == 1
-        assert solver._first_match(distances[2:3], norms[2:3], new) is None
-        assert solver._first_match(distances[:0], norms[:0], new) is None
+        rows = new.sorted_distances, new.sorted_mass_weighted_norms
+        assert solver._first_match(distances, norms, *rows) == 1
+        assert solver._first_match(distances[2:3], norms[2:3], *rows) is None
+        assert solver._first_match(distances[:0], norms[:0], *rows) is None
 
     def test_search_classes_match_pairwise_reference(self):
         # 16 equal masses: 83 classes from 89 converged trials; the stacked

@@ -56,6 +56,12 @@ def _documents():
         "trigon": doc(2, -1.5, [1.0, 1.0, 1.0], [1.0], trigon),
         "odd-k": doc(3, -1.5, [1.0, 1.0, 1.0], [1.0],
                      [[x, y, 0.0] for x, y in trigon]),
+        # two bodies stacked along the fixed axis collide in the plane the
+        # odd-k solve runs in: solve and continue end at the collision
+        # guard with the seed as given
+        "odd-k-stacked": doc(3, -1.5, [1.0, 1.0, 1.0], [1.0],
+                             [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                              [1.0, 0.0, 0.0]]),
         "k4": doc(4, -1.5, [1.0, 2.0, 1.0, 0.5], [1.0, 1.5],
                   [[1.0, 0.0, 0.0, 0.3], [0.0, 1.0, 0.2, 0.0],
                    [-1.0, 0.1, 0.0, -0.3], [0.0, -1.0, -0.2, 0.1]]),
