@@ -8,9 +8,7 @@ from ._kernels import backend
 from .criterion import (
     ClusterDiagnostics,
     ResidualReport,
-    cluster_sum,
     jacobian,
-    lemma_gap_bound,
     lemma_identity_gap,
     lemma_identity_gaps,
     residual,
@@ -40,7 +38,6 @@ from .model import (
     Configuration,
     Problem,
     frequency_matrix,
-    pairwise_distances,
     rotation_generator,
     rotation_matrix,
 )
@@ -82,7 +79,6 @@ __all__ = [
     "backend",
     "bound_probe",
     "canonicalize",
-    "cluster_sum",
     "conserved_quantities",
     "continuation_in_exponent",
     "dumps_document",
@@ -92,12 +88,10 @@ __all__ = [
     "frequency_sweep",
     "integrate",
     "jacobian",
-    "lemma_gap_bound",
     "lemma_identity_gap",
     "lemma_identity_gaps",
     "load_document",
     "multistart_search",
-    "pairwise_distances",
     "parse_document",
     "potential_energy",
     "relative_equilibrium_deviation",

@@ -132,11 +132,6 @@ def min_pair_distance(positions):
     return float(min_distance_from(pair_geometry(positions[None])[1])[0])
 
 
-def pair_indices(n):
-    """Row-major upper-triangle pairs (i < j) of n bodies."""
-    return np.triu_indices(n, 1)
-
-
 def backend():
     """Name of the kernel backend; always 'numpy'."""
     return "numpy"

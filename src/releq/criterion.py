@@ -112,56 +112,27 @@ def jacobian(config, problem):
                                    problem.asq, problem.a)
 
 
-def _cluster_sums(config, problem):
-    """Checked points, pair force terms P and their suffix sums S (0-based).
-
-    P[i, j] = m_j (Q_i - Q_j) r_ij^(2a), zero diagonal, weighted by the
-    ``r2 ** a`` that ``forces_from`` contracts. S[i, l] = sum_{j >= l}
-    P[i, j] has shape (n, n + 1, k), with the empty sums S[:, n] = 0.
-    """
-    check_problem_config(problem, config)
-    pos, n = config.points, problem.n
-    diff, r2 = _kernels.pair_geometry(pos[None])
-    # diff[i, j] is Q_j - Q_i, so its transpose holds Q_i - Q_j; the inf
-    # diagonal gives r^(2a) = 0 there
-    pair = (problem.masses * r2[0] ** problem.a)[..., None] \
-        * diff[0].swapaxes(0, 1)
-    suffix = np.zeros((n, n + 1, problem.k))
-    suffix[:, :n] = np.cumsum(pair[:, ::-1], axis=1)[:, ::-1]
-    return pos, pair, suffix
-
-
-def cluster_sum(config, problem, body, cluster):
-    """Force contribution on ``body`` from bodies outside the first ``cluster``.
-
-    Bodies are numbered 1..n here to match the cluster being the first
-    ``cluster`` of them; the empty sum (cluster = n) is the zero vector.
-    The self term j == body is always excluded.
-    """
-    _, _, suffix = _cluster_sums(config, problem)
-    n = problem.n
-    body = int(body)
-    cluster = int(cluster)
-    if not 1 <= body <= n:
-        raise IndexError(f"body index must be in 1..{n}, got {body}")
-    if not 2 <= cluster <= n:
-        raise IndexError(f"cluster size must be in 2..{n}, got {cluster}")
-    return suffix[body - 1, cluster].copy()
-
-
 def lemma_identity_gaps(config, problem):
     """Both sides of the cluster identity for every cluster l = 2..n.
 
     The identity is an exact consequence of the balance equations, so
     each gap vanishes at equilibria; away from them it equals the norm of
-    sum_{i=2}^{l} m_i (F_1 - F_i). With bodies numbered 1..n and sums
-    over i, j <= l, prefix sums over the body index give every l at once:
+    sum_{i=2}^{l} m_i (F_1 - F_i). With bodies numbered 1..n, the pair
+    force terms P[i, j] = m_j (Q_i - Q_j) r_ij^(2a) (zero diagonal) and
+    their suffix sums S[i, l] = sum_{j > l} P[i, j], prefix sums over the
+    body index give every l at once (sums over i, j <= l):
 
         lhs(l) = Asq sum_i m_i (Q_1 - Q_i)
         rhs(l) = (sum_i m_i) sum_j P[1, j] + sum_i m_i (S[1, l] - S[i, l])
     """
-    pos, pair, suffix = _cluster_sums(config, problem)
-    n, m = problem.n, problem.masses
+    check_problem_config(problem, config)
+    pos, n, m = config.points, problem.n, problem.masses
+    diff, r2 = _kernels.pair_geometry(pos[None])
+    # diff[i, j] is Q_j - Q_i, so its transpose holds Q_i - Q_j; the inf
+    # diagonal gives r^(2a) = 0 there
+    pair = (m * r2[0] ** problem.a)[..., None] * diff[0].swapaxes(0, 1)
+    suffix = np.zeros((n, n + 1, problem.k))
+    suffix[:, :n] = np.cumsum(pair[:, ::-1], axis=1)[:, ::-1]
     clusters = np.arange(2, n + 1)
     # row l - 2 of each prefix sum runs over bodies 0..l-1 (0-based),
     # whose body-0 term is zero
@@ -197,7 +168,3 @@ def weighted_centroid_residual(config, problem):
     weighted = (problem.masses[:, None] * config.points).sum(axis=0)
     return problem.asq * weighted
 
-
-def lemma_gap_bound(problem):
-    """Linear-combination bound: gap <= C_L * max_norm at small residuals."""
-    return problem.n * (1.0 + float(problem.masses.sum()))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -42,6 +43,15 @@ class ProblemDocument:
         object.__setattr__(self, "metadata", dict(self.metadata or {}))
 
 
+def _number(x):
+    """``float(x)``; an int beyond the float range reads as +-inf, as json
+    reads 1e400 (``math.copysign`` would raise on such an int too)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _number_list(value, name, length=None):
     if not isinstance(value, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
@@ -50,7 +60,7 @@ def _number_list(value, name, length=None):
     if length is not None and len(value) != length:
         raise DocumentError(
             f"field '{name}' must have length {length}, got {len(value)}")
-    return [float(x) for x in value]
+    return [_number(x) for x in value]
 
 
 def parse_document(text):
@@ -82,6 +92,7 @@ def parse_document(text):
     exponent = raw["exponent"]
     if not isinstance(exponent, (int, float)) or isinstance(exponent, bool):
         raise DocumentError("field 'exponent' must be a number")
+    exponent = _number(exponent)
     masses = _number_list(raw["masses"], "masses")
     frequencies = _number_list(raw["frequencies"], "frequencies")
     # value ranges are Problem's to check

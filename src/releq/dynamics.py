@@ -132,7 +132,7 @@ def potential_energy(positions, problem):
     case (a = -1) degenerates to sum_{i<j} m_i m_j ln r.
     """
     _, r2 = _guard_positions(positions, problem)
-    iu, ju = _kernels.pair_indices(problem.n)
+    iu, ju = np.triu_indices(problem.n, 1)
     r = np.sqrt(r2[0, iu, ju])
     a, m = problem.a, problem.masses
     phi = np.log(r) if a == -1.0 else r ** (2.0 * a + 2.0) / (2.0 * a + 2.0)

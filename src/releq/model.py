@@ -185,12 +185,6 @@ def frequency_matrix(frequencies, k):
     return diag
 
 
-def pairwise_distances(config):
-    """Symmetric n x n matrix of pairwise distances, zero diagonal."""
-    points = getattr(config, "points", config)
-    return _kernels.pair_distances(_kernels.as_input(points))
-
-
 def check_problem_config(problem, config):
     """Raise if the shape of a configuration, or of an array of points,
     does not match the problem."""

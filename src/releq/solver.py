@@ -219,7 +219,7 @@ def _fingerprints(r2, norms, masses):
     """Fingerprint sides of each point set of a stack, from its squared
     pair distances and point norms: the sorted distances and the weighted
     norms m_i |Q_i| ordered by (mass, weighted norm)."""
-    iu, ju = _kernels.pair_indices(len(masses))
+    iu, ju = np.triu_indices(len(masses), 1)
     distances = np.sort(np.sqrt(r2[:, iu, ju]), axis=1)
     weighted = masses * norms
     order = np.lexsort((weighted, np.broadcast_to(masses, weighted.shape)))

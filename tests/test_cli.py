@@ -464,6 +464,30 @@ def test_non_finite_document_values_rejected(field, value, command,
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("place", [
+    lambda raw, v: raw["masses"].__setitem__(1, v),
+    lambda raw, v: raw["frequencies"].__setitem__(0, v),
+    lambda raw, v: raw["positions"][0].__setitem__(0, v),
+    lambda raw, v: raw.__setitem__("exponent", -v),
+], ids=["masses", "frequencies", "position", "exponent"])
+def test_int_beyond_float_range_reads_as_infinite(place, two_body_doc,
+                                                  tmp_path, capsys):
+    # json keeps 10**400 as an int; it must be refused as bad input, with
+    # the message the float literal 1e400 in its place gets
+    raw = json.loads(two_body_doc.read_text())
+    place(raw, 10 ** 400)
+    text = json.dumps(raw)
+    stderr = []
+    for name, body in (("int", text), ("float", text.replace(
+            str(10 ** 400), "1e400"))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(body)
+        assert main(["solve", str(path)]) == 2
+        stderr.append(capsys.readouterr().err)
+    assert stderr[0] == stderr[1]
+    assert "finite" in stderr[0]
+
+
 def test_infinite_omega_rejected(two_body_doc, capsys):
     assert main(["probe", str(two_body_doc), "--trials", "3",
                  "--omegas", "1,inf"]) == 2

@@ -4,9 +4,7 @@ import pytest
 from releq import (
     Configuration,
     Problem,
-    cluster_sum,
     jacobian,
-    lemma_gap_bound,
     lemma_identity_gap,
     lemma_identity_gaps,
     residual,
@@ -176,46 +174,6 @@ class TestJacobian:
                                    bji / prob.masses[i], rtol=1e-13)
 
 
-class TestClusterSum:
-    def test_full_cluster_is_empty_sum(self, trigon):
-        prob, cfg = trigon
-        assert np.array_equal(cluster_sum(cfg, prob, 1, 3), np.zeros(2))
-
-    def test_single_term(self, trigon):
-        prob, cfg = trigon
-        got = cluster_sum(cfg, prob, 1, 2)
-        u = cfg.points[0] - cfg.points[2]
-        expected = prob.masses[2] * u * (u @ u) ** prob.a
-        assert np.allclose(got, expected, rtol=1e-14)
-
-    def test_residual_split(self):
-        # asq Q_i - sum_{j<=l, j!=i} m_j (...) - R_il == F_i for every l
-        rng = np.random.default_rng(35)
-        prob = Problem(2, [1.0, 2.0, 0.7, 1.1, 0.9], [1.0], -1.5)
-        cfg = random_config(rng, 5, 2)
-        F = residual(cfg, prob).per_body
-        for i in range(1, 6):
-            for l in range(2, 6):
-                qi = cfg.points[i - 1]
-                head = prob.asq * qi
-                for j in range(l):
-                    if j == i - 1:
-                        continue
-                    u = qi - cfg.points[j]
-                    head = head - prob.masses[j] * u * (u @ u) ** prob.a
-                rebuilt = head - cluster_sum(cfg, prob, i, l)
-                assert np.allclose(rebuilt, F[i - 1], rtol=1e-12, atol=1e-12)
-
-    def test_index_out_of_range(self, trigon):
-        prob, cfg = trigon
-        with pytest.raises(IndexError):
-            cluster_sum(cfg, prob, 0, 2)
-        with pytest.raises(IndexError):
-            cluster_sum(cfg, prob, 4, 2)
-        with pytest.raises(IndexError):
-            cluster_sum(cfg, prob, 1, 1)
-
-
 class TestLemmaIdentity:
     def test_two_body_equilibrium(self, two_body):
         prob, cfg = two_body
@@ -242,7 +200,8 @@ class TestLemmaIdentity:
         exact = np.array(oracles.ngon_points(3, rho))
         cfg = Configuration(exact + rng.normal(size=exact.shape) * 1e-7)
         eps = residual(cfg, prob).max_norm
-        bound = 10.0 * lemma_gap_bound(prob) * eps
+        # C_L = n (1 + sum m), the linear-combination constant
+        bound = 10.0 * prob.n * (1.0 + float(prob.masses.sum())) * eps
         for l in (2, 3):
             assert lemma_identity_gap(cfg, prob, l).gap <= bound
 
@@ -268,11 +227,14 @@ class TestLemmaIdentity:
                 assert one.rhs.tobytes() == gaps[l - 2].rhs.tobytes()
                 assert abs(one.gap - loop_identity_gap(pts, prob, l)) \
                     <= 1e-12 * scale
-                for body in range(1, n + 1):
-                    assert np.allclose(
-                        cluster_sum(cfg, prob, body, l),
-                        loop_cluster_sum(pts, prob, body - 1, l),
-                        rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("cluster", [0, 1, 4])
+    def test_cluster_size_out_of_range(self, trigon, cluster):
+        # l = 1 would otherwise read the last entry, gaps[-1]
+        prob, cfg = trigon
+        with pytest.raises(IndexError,
+                           match=r"cluster size must be in 2\.\.3"):
+            lemma_identity_gap(cfg, prob, cluster)
 
     def test_overflowing_forces_give_non_finite_gap(self):
         # r^(2a) overflows a float at a = -200 with bodies 0.01 apart;

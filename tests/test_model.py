@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from releq import _kernels
 from releq import (
     Configuration,
     Problem,
     frequency_matrix,
-    pairwise_distances,
     rotation_generator,
     rotation_matrix,
 )
@@ -135,14 +135,14 @@ class TestFrequencyMatrix:
 class TestPairwiseDistances:
     def test_three_four_five(self):
         cfg = Configuration([[0.0, 0.0], [3.0, 4.0]])
-        d = pairwise_distances(cfg)
+        d = _kernels.pair_distances(cfg.points)
         assert d[0, 1] == pytest.approx(5.0)
         assert cfg.min_distance == d[0, 1]
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(5, 3))
-        d = pairwise_distances(pts)
+        d = _kernels.pair_distances(pts)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 
@@ -150,7 +150,7 @@ class TestPairwiseDistances:
         s = 2.0
         cfg = Configuration([
             [0.0, 0.0], [s, 0.0], [s / 2, s * np.sqrt(3) / 2]])
-        d = pairwise_distances(cfg)
+        d = _kernels.pair_distances(cfg.points)
         off = d[np.triu_indices(3, 1)]
         assert np.allclose(off, s)
 

@@ -72,6 +72,9 @@ def _documents():
                          [[0.5, 0.0], [0.5, 0.0]]),
         "bad-mass": doc(2, -1.5, [1.0, -1.0], [1.0],
                         [[0.5, 0.0], [-0.5, 0.0]]),
+        # json.dump writes the int's digits, which no float can hold
+        "huge-int-mass": doc(2, -1.5, [1.0, 10 ** 400], [1.0],
+                             [[0.5, 0.0], [-0.5, 0.0]]),
         "string-mass": doc(2, -1.5, ["a", 1.0], [1.0]),
         "unknown-key": {**doc(2, -1.5, [1.0, 1.0], [1.0]), "bogus": 1},
     }
