@@ -15,20 +15,23 @@ The one LM implementation, ``_solve_batch``, runs seeds in lock-step
 rounds over a fixed number of slots. Each round first gives every slot
 that a stopped trial freed the next seed, then makes one factorization
 for all open trials and one pair-geometry pass for all their trial point
-sets. The collision guard and the residual derive from that pass, and
-an accepted step is settled from it at once, as a placed seed is: its
+sets. The collision guard and the residual derive from that pass, and an
+accepted step is settled from it at once, as a placed seed is: its
 convergence, iteration and gradient tests and its Jacobian for the next
-round. A trial stopped by a test frees its slot for the next round.
-Damping, collision streak and iteration count stay per trial, so every
-trial takes bit for bit the steps it takes alone. ``solve_from_seed`` is
-a batch of one seed in one slot. Multistart search takes as many slots
-as keep one (slots, n*k, n*k) array within 2**16 float64 entries
-(512 KB), which keeps peak memory near that of a lone solve at large n.
-Each trial draws its seed from a generator split off the root seed by
-trial index, so results never depend on which trials share its rounds.
-The damped matrix of each open trial is a copy of its J^T J with the
-damping added on the diagonal in place, and a stack is gathered down to
-its open trials only when some trial leaves it.
+round. A seed is measured once, by the pass that places it, which also
+applies ``Configuration``'s collision rule: a colliding seed ends the
+batch with that rule's ``ValueError`` and is not redrawn. A trial
+stopped by a test frees its slot for the next round. Damping, collision
+streak and iteration count stay per trial, so every trial takes bit for
+bit the steps it takes alone. ``solve_from_seed`` is a batch of one seed
+in one slot. Multistart search takes as many slots as keep one
+(slots, n*k, n*k) array within 2**16 float64 entries (512 KB), which
+keeps peak memory near that of a lone solve at large n. Each trial draws
+its seed from a generator split off the root seed by trial index, so
+results never depend on which trials share its rounds. The damped matrix
+of each open trial is a copy of its J^T J with the damping added on the
+diagonal in place, and a stack is gathered down to its open trials only
+when some trial leaves it.
 
 A trial stalls when its damped steps keep failing until the damping
 passes ``DAMPING_MAX``, or, by the gradient test of MINPACK's ``lmder``,
@@ -83,8 +86,6 @@ GUARD_REL = 1e-6
 MAX_COLLISION_REJECTS = 25
 # Fingerprints agreeing to this relative tolerance are one class.
 FINGERPRINT_RTOL = 1e-6
-# Draws of a seed that may collide before ``sample_seed`` gives up.
-SEED_ATTEMPTS = 100
 
 
 class Termination(enum.Enum):
@@ -293,18 +294,14 @@ def seed_radius(problem):
 
 
 def sample_seed(problem, rng):
-    """Draw a collision-free configuration of i.i.d. points in a ball."""
+    """Draw an (n, k) array of i.i.d. points in a ball, unchecked: the LM
+    applies the collision rule when it places the seed (``_solve_batch``)."""
     r0 = seed_radius(problem)
     n, k = problem.n, problem.k
-    for _ in range(SEED_ATTEMPTS):
-        direction = rng.normal(size=(n, k))
-        direction /= np.sqrt(np.sum(direction ** 2, axis=1))[:, None]
-        radii = r0 * rng.random(n) ** (1.0 / k)
-        try:
-            return Configuration(direction * radii[:, None])
-        except ValueError:
-            continue
-    raise RuntimeError("failed to draw a collision-free seed")
+    direction = rng.normal(size=(n, k))
+    direction /= np.sqrt(np.sum(direction ** 2, axis=1))[:, None]
+    radii = r0 * rng.random(n) ** (1.0 / k)
+    return direction * radii[:, None]
 
 
 def _even_problem(problem):
@@ -376,10 +373,11 @@ def _solve_batch(seeds, problem, opts, slots):
     residual norm, and steps whose minimum separation falls below the
     collision guard are rejected with increased damping instead of being
     evaluated. Each finished trial is yielded as a ``SolveResult``, in
-    seed order, as soon as every earlier trial has finished. Its points
-    are its seed or a step that cleared the collision guard, which is
-    stricter than ``Configuration``'s check, so its deferred ``config``
-    never raises.
+    seed order, as soon as every earlier trial has finished. Placing
+    seeds applies ``Configuration``'s collision rule, ``check_separation``,
+    to their geometry, so a trial's points are a seed that passed it or a
+    step that cleared the stricter collision guard: its deferred
+    ``config`` never raises.
     """
     n, k = problem.n, problem.k
     masses, asq, a = problem.masses, problem.asq, problem.a
@@ -470,6 +468,7 @@ def _solve_batch(seeds, problem, opts, slots):
             drawn += idx.size
             seed = np.array(placed, dtype=float)
             diff, r2 = _kernels.pair_geometry(seed)
+            check_separation(_kernels.min_distance_from(r2), _max_norms(seed))
             settle(idx, seed, diff, r2, *defects(seed, diff, r2))
 
         while yielded in finished:
@@ -562,7 +561,7 @@ def _trial_results(problem, trials, rng_seed, opts):
     Trial t draws its seed from the generator (rng_seed, t) when a slot
     frees up for it.
     """
-    seeds = (sample_seed(problem, np.random.default_rng([rng_seed, t])).points
+    seeds = (sample_seed(problem, np.random.default_rng([rng_seed, t]))
              for t in range(trials))
     return _solve_batch(seeds, problem, opts, _slot_count(problem, trials))
 

@@ -88,7 +88,8 @@ def test_criterion_1_two_body_solves():
         oracles.two_body_separation_bisect(1.0, 1.0, 1.0, -1.5), rel=1e-12)
     hits = 0
     for trial in range(50):
-        seed = sample_seed(prob, np.random.default_rng([101, trial]))
+        seed = Configuration(
+            sample_seed(prob, np.random.default_rng([101, trial])))
         result = solve_from_seed(seed, prob)
         if not result.converged:
             continue
@@ -121,7 +122,8 @@ def _converged_equilibria():
     found = []
     prob2 = two_body_problem()
     for trial in range(6):
-        seed = sample_seed(prob2, np.random.default_rng([202, trial]))
+        seed = Configuration(
+            sample_seed(prob2, np.random.default_rng([202, trial])))
         result = solve_from_seed(seed, prob2)
         if result.converged:
             found.append((prob2, result.config))
@@ -156,7 +158,8 @@ def test_criterion_3_lemma_identity():
     converged = 0
     trial = 0
     while converged < 20 and trial < 40:
-        seed = sample_seed(prob4, np.random.default_rng([303, trial]))
+        seed = Configuration(
+            sample_seed(prob4, np.random.default_rng([303, trial])))
         result = solve_from_seed(seed, prob4)
         trial += 1
         if not result.converged:

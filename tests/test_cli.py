@@ -430,6 +430,22 @@ def test_overflowing_forces_fail_with_one_error_line(command, message,
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize("command", ["search", "probe"])
+def test_overflowing_seed_fails_with_one_error_line(command, tmp_path,
+                                                   capsys):
+    # at a seed radius near 9e300 the squared distances of every drawn
+    # seed overflow, which the collision rule rejects: the search ends
+    # with that rule's error, not a traceback, and writes no report
+    prob = Problem(2, [1.0, 1.0, 1.0], [1e-150], -0.5000001)
+    path, out = tmp_path / "far.json", tmp_path / "report.json"
+    save_document(path, ProblemDocument(prob))
+    assert main([command, str(path), "--trials", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "colliding configuration" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "integrate"])
 def test_overflowing_forces_print_no_warnings(command, tmp_path):
     # in a fresh process nothing filters numpy's RuntimeWarnings, which

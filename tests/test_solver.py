@@ -151,7 +151,8 @@ class TestSolveFromSeed:
         rng = np.random.default_rng(42)
         opts = SolveOptions(tol_res=1e-10)
         for trial in range(5):
-            seed = sample_seed(prob, np.random.default_rng([7, trial]))
+            seed = Configuration(
+                sample_seed(prob, np.random.default_rng([7, trial])))
             result = solve_from_seed(seed, prob, opts)
             if result.termination is Termination.CONVERGED:
                 scale = residual_scale(result.config, prob)
@@ -237,7 +238,8 @@ class TestMultistart:
         prob = Problem(k, np.ones(n), np.ones(k // 2), a)
         even_k = k - k % 2
         even = Problem(even_k, prob.masses, prob.frequencies, a)
-        seeds = [sample_seed(even, np.random.default_rng([17, t]))
+        seeds = [Configuration(sample_seed(even,
+                                           np.random.default_rng([17, t])))
                  for t in range(trials)]
         rounds = [0]    # damped attempts since the last reset
         damped_steps = solver._damped_steps
@@ -328,20 +330,22 @@ class TestMultistart:
 
     def test_bookkeeping_measures_each_chunk_once(self, monkeypatch):
         # outside the LM, a search measures pair geometry once per chunk
-        # of converged trials (8, the slot count here); it builds a
-        # Configuration per seed draw and none per class or trial, and an
-        # EquilibriumFingerprint per class. A class's Configuration is
-        # built on the first use of its result's config, once
+        # of converged trials (8, the slot count here), and a seed draw
+        # measures none; it builds no Configuration per draw, class or
+        # trial, and an EquilibriumFingerprint per class. A class's
+        # Configuration is built on the first use of its result's config,
+        # once
         prob = Problem(2, np.ones(6), [1.0], -1.5)
         expected = multistart_search(prob, 48, 41)
         counts = Counter()
-        in_lm = [False]
+        in_lm, in_draw = [False], [False]
         measure, build = _kernels._measure_pairs, solver.Configuration
         draw, solve_batch = solver.sample_seed, solver._solve_batch
         make_fingerprint = solver.EquilibriumFingerprint
 
         def measuring(*args):
-            counts["lm" if in_lm[0] else "bookkeeping"] += 1
+            counts["draw" if in_draw[0] else
+                   "lm" if in_lm[0] else "bookkeeping"] += 1
             return measure(*args)
 
         def building(points):
@@ -350,7 +354,11 @@ class TestMultistart:
 
         def drawing(*args):
             counts["draws"] += 1
-            return draw(*args)
+            in_draw[0] = True
+            try:
+                return draw(*args)
+            finally:
+                in_draw[0] = False
 
         def fingerprinting(*args):
             counts["fingerprints"] += 1
@@ -379,7 +387,8 @@ class TestMultistart:
         assert len(classes) < counts["converged"]
         assert counts["draws"] == 48
         assert counts["bookkeeping"] <= chunks
-        assert counts["configurations"] == counts["draws"]
+        assert counts["draw"] == 0
+        assert counts["configurations"] == 0
         assert counts["fingerprints"] == len(classes)
         for cls in classes:
             built = counts["configurations"]
@@ -388,6 +397,25 @@ class TestMultistart:
             assert cls.result.config is config
             assert counts["configurations"] == built + 1
         assert_same_classes(classes, expected)
+
+    def test_colliding_draw_ends_the_search(self, monkeypatch):
+        # a seed is checked when the LM places it, by the collision rule
+        # of Configuration; a colliding draw is not redrawn but ends the
+        # search with that rule's error
+        prob = Problem(2, np.ones(4), [1.0], -1.5)
+        draw = solver.sample_seed
+        drawn = [0]
+
+        def colliding(*args):
+            seed = draw(*args)
+            drawn[0] += 1
+            if drawn[0] == 3:
+                seed[1] = seed[0]
+            return seed
+
+        monkeypatch.setattr(solver, "sample_seed", colliding)
+        with pytest.raises(ValueError, match="colliding configuration"):
+            multistart_search(prob, 5, 41)
 
     def test_damped_matrix_is_eye_formula(self, monkeypatch):
         # the damping is added in place on the diagonal of a copy of each
@@ -489,7 +517,7 @@ class TestGradientTest:
         # path, earlier, where the gradient has vanished relative to the
         # Jacobian and the residual
         prob = Problem(2, np.ones(16), [1.0], -1.5)
-        seed = sample_seed(prob, np.random.default_rng([0, 10]))
+        seed = Configuration(sample_seed(prob, np.random.default_rng([0, 10])))
         rtol = solver.GRADIENT_RTOL
         result = solve_from_seed(seed, prob)
         monkeypatch.setattr(solver, "GRADIENT_RTOL", 0.0)
@@ -548,10 +576,12 @@ class TestOddDimension:
         # masses; the twin draws its seeds in k - 1
         prob = Problem(k, np.ones(n), np.ones(k // 2), -1.5)
         twin = even_twin(prob)
-        odd = [solve_from_seed(sample_seed(prob, np.random.default_rng(s)),
-                               prob) for s in range(20)]
-        even = [solve_from_seed(sample_seed(twin, np.random.default_rng(s)),
-                                twin) for s in range(20)]
+        odd = [solve_from_seed(
+            Configuration(sample_seed(prob, np.random.default_rng(s))), prob)
+            for s in range(20)]
+        even = [solve_from_seed(
+            Configuration(sample_seed(twin, np.random.default_rng(s))), twin)
+            for s in range(20)]
         assert sum(r.converged for r in odd) == sum(r.converged for r in even)
         for result in odd:
             if result.converged:

@@ -168,6 +168,20 @@ def _rolling_lines(path):
             for fmt in ("json", "csv")]
 
 
+# three unit masses at a just below -1/2 and rate 1e-150 have a seed
+# radius near 9e300: the squared distances of every draw overflow, and
+# the collision rule ends search and probe with one error line
+SEED_OVERFLOW = ("seed-overflow", {"schema_version": "1", "dimension": 2,
+                                   "exponent": -0.5000001,
+                                   "masses": [1.0, 1.0, 1.0],
+                                   "frequencies": [1e-150]})
+
+
+def _seed_overflow_lines(path):
+    return [[command, path, "--trials", "2", "--seed", "3"]
+            for command in ("search", "probe")]
+
+
 def _digest(data, tmp):
     if data is None:
         return "-"
@@ -197,7 +211,8 @@ def main():
         runs = [(name, raw, _command_lines)
                 for name, raw in _documents().items()]
         runs += [(*MAXWELL, _integrator_lines),
-                 (*UNSTABLE, _integrator_lines), (*ROLLING, _rolling_lines)]
+                 (*UNSTABLE, _integrator_lines), (*ROLLING, _rolling_lines),
+                 (*SEED_OVERFLOW, _seed_overflow_lines)]
         for name, raw, command_lines in runs:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
