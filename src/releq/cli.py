@@ -5,8 +5,9 @@ command reads a JSON problem document, prints a one-line summary to
 stdout, and writes its full report to --out (atomically, as a new file
 under the umask); without --out the report is printed after the summary.
 A report is written in blocks as it is encoded, with the same bytes as a
-whole-text write. Exit codes: 0 success, 1 verification/runtime failure,
-2 bad input or flags, 3 I/O failure.
+whole-text write. This module alone builds every JSON and CSV report.
+Exit codes: 0 success, 1 verification/runtime failure (a --samples too
+large to allocate included), 2 bad input or flags, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -97,6 +98,39 @@ def _solve_options(args):
                         damping_shrink=args.damping_shrink)
 
 
+def _result_json(result):
+    """A SolveResult's record in the solve, search and continue reports."""
+    return {"points": result.points.tolist(),
+            "residual_max": result.residual_max,
+            "iterations": result.iterations,
+            "termination": result.termination.value}
+
+
+def _fingerprint_json(fp):
+    return {"sorted_distances": fp.sorted_distances.tolist(),
+            "sorted_mass_weighted_norms":
+                fp.sorted_mass_weighted_norms.tolist()}
+
+
+def _probe_json(report):
+    """A ProbeReport's record: the probe report, or one sweep entry."""
+    problem = report.problem
+    return {
+        "problem": {"n": problem.n, "k": problem.k, "exponent": problem.a,
+                    "masses": problem.masses.tolist(),
+                    "frequencies": problem.frequencies.tolist()},
+        "classes_found": report.classes_found,
+        "min_pairwise_distance": report.min_pairwise_distance,
+        "max_point_norm": report.max_point_norm,
+        "per_class": [{"min_pairwise_distance": cls.result.config.min_distance,
+                       "max_point_norm": cls.result.config.max_norm,
+                       "residual_max": cls.result.residual_max,
+                       "hits": cls.hits} for cls in report.classes],
+        "trials": report.trials, "converged": report.converged,
+        "dropped": report.dropped,
+    }
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -109,7 +143,7 @@ def _cmd_verify(args):
     config = _need_positions(doc)
 
     report = residual(config, problem)
-    gaps = [diag.to_dict() for diag in lemma_identity_gaps(config, problem)]
+    gaps = lemma_identity_gaps(config, problem)
     centroid = weighted_centroid_residual(config, problem)
     t_end = _horizon(problem, args.t_end)
     error = None
@@ -123,8 +157,11 @@ def _cmd_verify(args):
         deviation, error = None, str(exc)
     passed = report.max_norm <= args.tol
     payload = {
-        "residual": report.to_dict(),
-        "lemma_gaps": gaps,
+        "residual": {"per_body": report.per_body.tolist(),
+                     "max_norm": report.max_norm, "rms": report.rms},
+        "lemma_gaps": [{"l": diag.l, "lhs": diag.lhs.tolist(),
+                        "rhs": diag.rhs.tolist(), "gap": diag.gap}
+                       for diag in gaps],
         "weighted_centroid_residual": centroid.tolist(),
         "relative_equilibrium_deviation": deviation,
         **({} if error is None else {"deviation_error": error}),
@@ -145,10 +182,11 @@ def _cmd_solve(args):
     problem = doc.problem
     seed = _need_positions(doc)
     result = solve_from_seed(seed, problem, _solve_options(args))
-    payload = result.to_dict()
+    payload = _result_json(result)
     payload["residual_history"] = list(result.residual_history)
     if result.converged:
-        payload["fingerprint"] = fingerprint(result.config, problem).to_dict()
+        payload["fingerprint"] = _fingerprint_json(
+            fingerprint(result.config, problem))
     print(f"solve: termination={result.termination.value} "
           f"iterations={result.iterations} "
           f"residual_max={result.residual_max:.6e}")
@@ -183,8 +221,8 @@ def _cmd_search(args):
             "rng_seed": args.seed,
             "converged": report.converged,
             "dropped": report.dropped,
-            "classes": [{**cls.result.to_dict(),
-                         "fingerprint": cls.fingerprint.to_dict(),
+            "classes": [{**_result_json(cls.result),
+                         "fingerprint": _fingerprint_json(cls.fingerprint),
                          "hits": cls.hits} for cls in report.classes],
         }))
     return EXIT_OK
@@ -204,7 +242,7 @@ def _cmd_continue(args):
                                      args.steps, opts)
     rows = [{
         "a": a_value,
-        **result.to_dict(),
+        **_result_json(result),
         "min_pairwise_distance": result.config.min_distance,
         "max_point_norm": result.config.max_norm,
     } for a_value, result in steps]
@@ -243,10 +281,10 @@ def _cmd_probe(args):
         found = sum(r.classes_found for r in reports)
         print(f"probe: sweep omegas={len(omegas)} total_classes={found}")
         payload = {"omegas": omegas,
-                   "reports": [r.to_dict() for r in reports]}
+                   "reports": [_probe_json(r) for r in reports]}
     else:
         report, = reports
-        payload = report.to_dict()
+        payload = _probe_json(report)
         c_hat, big_c = report.min_pairwise_distance, report.max_point_norm
         print(f"probe: classes={report.classes_found} "
               f"c_hat={'n/a' if c_hat is None else f'{c_hat:.9g}'} "
@@ -410,6 +448,9 @@ def main(argv=None):
     except ArithmeticError as exc:
         # Python-float arithmetic raises where numpy gives inf or NaN
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

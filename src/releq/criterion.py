@@ -10,7 +10,7 @@ the defect, its exact dense derivative, the cluster-sum identity that the
 lower-bound argument rests on, and the weighted-centroid consequence of
 summing the defect over all bodies. Every cluster of the identity comes
 from one pair-geometry pass and suffix sums over the pair force terms,
-in O(n^2 k).
+in O(n^2 k). ``releq.cli`` builds the verify report from its records.
 """
 
 from __future__ import annotations
@@ -35,13 +35,6 @@ class ResidualReport:
     max_norm: float
     rms: float
 
-    def to_dict(self):
-        return {
-            "per_body": self.per_body.tolist(),
-            "max_norm": self.max_norm,
-            "rms": self.rms,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ClusterDiagnostics:
@@ -51,14 +44,6 @@ class ClusterDiagnostics:
     lhs: np.ndarray
     rhs: np.ndarray
     gap: float
-
-    def to_dict(self):
-        return {
-            "l": self.l,
-            "lhs": self.lhs.tolist(),
-            "rhs": self.rhs.tolist(),
-            "gap": self.gap,
-        }
 
 
 def residual(config, problem):

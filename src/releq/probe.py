@@ -5,7 +5,7 @@ a positive distance apart and inside a bounded ball. The probe exhibits
 the checkable shadow of that: the minimum separation and maximum norm
 over all equilibrium classes a multistart search can find. Both numbers
 are reported, never asserted against theory; the true bounds are
-existential.
+existential. ``releq.cli`` builds the probe report from a ProbeReport.
 """
 
 from __future__ import annotations
@@ -49,30 +49,6 @@ class ProbeReport:
     def max_point_norm(self):
         return max((cls.result.config.max_norm for cls in self.classes),
                    default=None)
-
-    def to_dict(self):
-        problem = self.problem
-        return {
-            "problem": {
-                "n": problem.n,
-                "k": problem.k,
-                "exponent": problem.a,
-                "masses": problem.masses.tolist(),
-                "frequencies": problem.frequencies.tolist(),
-            },
-            "classes_found": self.classes_found,
-            "min_pairwise_distance": self.min_pairwise_distance,
-            "max_point_norm": self.max_point_norm,
-            "per_class": [{
-                "min_pairwise_distance": cls.result.config.min_distance,
-                "max_point_norm": cls.result.config.max_norm,
-                "residual_max": cls.result.residual_max,
-                "hits": cls.hits,
-            } for cls in self.classes],
-            "trials": self.trials,
-            "converged": self.converged,
-            "dropped": self.dropped,
-        }
 
 
 def bound_probe(problem, trials, rng_seed, opts=None):

@@ -45,11 +45,12 @@ trial order, in chunks of at most its slot count, and canonicalizes
 each chunk as one stack whose pair geometry, measured once, serves the
 collision check of every canonical set and the fingerprint rows
 (``canonicalize`` and ``fingerprint`` run the same code on a stack of
-one). The classes' rows are kept as two stacked arrays in discovery
-order, and each trial's are tested against all of them in one array
-comparison: it joins the first class it matches, by the rule of
-``EquilibriumFingerprint.matches``, or opens a new class, which alone
-gets an ``EquilibriumFingerprint`` object.
+one). The classes' rows, and their maxima stored as each class is made,
+are kept as stacked arrays in discovery order, and each trial's are
+tested against all of them in one array comparison: it joins the first
+class it matches, by the rule of ``EquilibriumFingerprint.matches``, or
+opens a new class, which alone gets an ``EquilibriumFingerprint``.
+``releq.cli`` builds the report entries of these plain records.
 """
 
 from __future__ import annotations
@@ -146,14 +147,6 @@ class SolveResult:
     def converged(self):
         return self.termination is Termination.CONVERGED
 
-    def to_dict(self):
-        return {
-            "points": self.points.tolist(),
-            "residual_max": self.residual_max,
-            "iterations": self.iterations,
-            "termination": self.termination.value,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumFingerprint:
@@ -174,31 +167,32 @@ class EquilibriumFingerprint:
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     def matches(self, other):
-        return _first_match(self.sorted_distances[None],
-                            self.sorted_mass_weighted_norms[None],
+        distances = self.sorted_distances[None]
+        norms = self.sorted_mass_weighted_norms[None]
+        return _first_match(distances, norms, _maxima(distances, norms),
                             other.sorted_distances,
                             other.sorted_mass_weighted_norms) is not None
 
-    def to_dict(self):
-        return {
-            "sorted_distances": self.sorted_distances.tolist(),
-            "sorted_mass_weighted_norms": self.sorted_mass_weighted_norms.tolist(),
-        }
+
+def _maxima(distances, norms):
+    """(C, 2) stack of max(1, max|row|) of C distance and norm rows."""
+    return np.stack([np.abs(side).max(axis=1, initial=1.0)
+                     for side in (distances, norms)], axis=1)
 
 
-def _first_match(distances, norms, fp_distances, fp_norms):
+def _first_match(distances, norms, maxima, fp_distances, fp_norms):
     """Index of the first known fingerprint, row c of ``distances`` and
-    ``norms``, that the rows ``fp_distances`` and ``fp_norms`` match, or
-    None. They match when, on each side, max|known - new| <=
-    FINGERPRINT_RTOL * max(1, max|known|, max|new|); rows of another
-    length never match.
+    ``norms`` with their ``_maxima`` row c, that the rows ``fp_distances``
+    and ``fp_norms`` match, or None. They match when, on each side,
+    max|known - new| <= FINGERPRINT_RTOL * max(1, max|known|, max|new|);
+    rows of another length never match.
     """
     hit = True
-    for known, new in ((distances, fp_distances), (norms, fp_norms)):
+    for known, new, known_max in zip((distances, norms),
+                                     (fp_distances, fp_norms), maxima.T):
         if known.shape[1:] != new.shape:
             return None
-        ref = np.maximum(np.abs(known).max(axis=1, initial=1.0),
-                         np.abs(new).max())
+        ref = np.maximum(known_max, np.abs(new).max())
         hit = hit & (np.abs(known - new).max(axis=1) <= FINGERPRINT_RTOL * ref)
     return int(np.argmax(hit)) if np.any(hit) else None
 
@@ -583,10 +577,11 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     even = _even_problem(problem)
 
     found = []    # [representative SolveResult, fingerprint, hits] per class
-    # the two sides of the classes' fingerprints, row c for class c; rows
+    # the classes' fingerprint sides and maxima, row c for class c; rows
     # from len(found) on are spare, and their count doubles when used up
     distances = np.empty((16, even.n * (even.n - 1) // 2))
     norms = np.empty((16, even.n))
+    maxima = np.empty((16, 2))
     converged = (trial for trial in _trial_results(even, trials, rng_seed, opts)
                  if trial.converged)
     size = _slot_count(even, trials)
@@ -597,14 +592,16 @@ def multistart_search(problem, trials, rng_seed, opts=None):
                 chunk, canonical, chunk_distances, chunk_norms):
             count = len(found)
             hit = _first_match(distances[:count], norms[:count],
-                               fp_distances, fp_norms)
+                               maxima[:count], fp_distances, fp_norms)
             if hit is not None:
                 found[hit][2] += 1
                 continue
             if count == len(norms):
-                distances, norms = _doubled(distances), _doubled(norms)
+                distances, norms, maxima = (
+                    _doubled(distances), _doubled(norms), _doubled(maxima))
             distances[count] = fp_distances
             norms[count] = fp_norms
+            maxima[count] = _maxima(fp_distances[None], fp_norms[None])[0]
             found.append([replace(trial, points=_lifted(points, problem.k)),
                           EquilibriumFingerprint(fp_distances, fp_norms), 1])
     return [SearchClass(*cls) for cls in found]

@@ -562,6 +562,99 @@ def test_parser_is_built_once(monkeypatch, two_body_doc, capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("command", ["verify", "integrate"])
+def test_unallocatable_samples_fail_with_one_error_line(command, two_body_doc,
+                                                        tmp_path, capsys):
+    # 10**18 float64 samples ask for 8 EB, more than any address space
+    # holds, so numpy fails before it touches memory: one error line,
+    # exit 1 and no report, not a traceback
+    out = tmp_path / "report.json"
+    assert main([command, str(two_body_doc), "--samples",
+                 "1000000000000000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: MemoryError:")
+    assert not out.exists()
+
+
+_RESULT_KEYS = ["points", "residual_max", "iterations", "termination"]
+_FINGERPRINT_KEYS = ["sorted_distances", "sorted_mass_weighted_norms"]
+_PROBE_KEYS = {
+    "": ["problem", "classes_found", "min_pairwise_distance",
+         "max_point_norm", "per_class", "trials", "converged", "dropped"],
+    "problem": ["n", "k", "exponent", "masses", "frequencies"],
+    "per_class[0]": ["min_pairwise_distance", "max_point_norm",
+                     "residual_max", "hits"],
+}
+_VERIFY_KEYS = {
+    "residual": ["per_body", "max_norm", "rms"],
+    "lemma_gaps[0]": ["l", "lhs", "rhs", "gap"],
+}
+
+
+def _key_orders(record, path=""):
+    """The key order of ``record`` and of every record nested in it, by
+    dotted path; a list of records stands for its first, ``name[0]``."""
+    orders = {path: list(record)}
+    for key, value in record.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            key, value = f"{key}[0]", value[0]
+        if isinstance(value, dict):
+            orders.update(_key_orders(value, f"{path}.{key}".lstrip(".")))
+    return orders
+
+
+@pytest.mark.parametrize("doc,argv,code,keys", [
+    ("two", ["verify"], 0, {
+        "": ["residual", "lemma_gaps", "weighted_centroid_residual",
+             "relative_equilibrium_deviation", "deviation_t_end", "tol",
+             "passed"], **_VERIFY_KEYS}),
+    ("ring12", ["verify", "--t-end", "20"], 1, {
+        "": ["residual", "lemma_gaps", "weighted_centroid_residual",
+             "relative_equilibrium_deviation", "deviation_error",
+             "deviation_t_end", "tol", "passed"], **_VERIFY_KEYS}),
+    ("two", ["solve"], 0, {
+        "": [*_RESULT_KEYS, "residual_history", "fingerprint"],
+        "fingerprint": _FINGERPRINT_KEYS}),
+    ("two", ["solve", "--tol", "1e-300"], 1, {
+        "": [*_RESULT_KEYS, "residual_history"]}),
+    ("three", ["search", "--trials", "12", "--seed", "3"], 0, {
+        "": ["trials", "rng_seed", "converged", "dropped", "classes"],
+        "classes[0]": [*_RESULT_KEYS, "fingerprint", "hits"],
+        "classes[0].fingerprint": _FINGERPRINT_KEYS}),
+    ("two", ["continue", "--a-target", "-1.2", "--steps", "2"], 0, {
+        "": ["a_target", "steps", "rows"],
+        "rows[0]": ["a", *_RESULT_KEYS, "min_pairwise_distance",
+                    "max_point_norm"]}),
+    ("three", ["probe", "--trials", "12", "--seed", "3"], 0, _PROBE_KEYS),
+    ("three", ["probe", "--trials", "6", "--seed", "3",
+               "--omegas", "0.5,2"], 0, {
+        "": ["omegas", "reports"],
+        **{f"reports[0].{path}".rstrip("."): order
+           for path, order in _PROBE_KEYS.items()}}),
+    ("two", ["integrate", "--samples", "4"], 0, {
+        "": ["t_end", "tol", "deviation", "times", "positions",
+             "velocities"]}),
+], ids=["verify", "verify-aborted", "solve", "solve-stalled", "search",
+        "continue", "probe", "probe-omegas", "integrate"])
+def test_report_key_order(doc, argv, code, keys, two_body_doc,
+                          problem_only_doc, tmp_path, capsys):
+    # every JSON report and each record nested in it keeps its keys in
+    # this order; the verify-aborted row is the unstable 12-ring at
+    # a = -2, whose long horizon adds deviation_error
+    if doc == "ring12":
+        rho = oracles.ngon_circumradius(12, 1.0, 1.0, -2.0)
+        path = tmp_path / "ring12.json"
+        save_document(path, ProblemDocument(
+            Problem(2, np.ones(12), [1.0], -2.0),
+            Configuration(oracles.ngon_points(12, rho))))
+    else:
+        path = {"two": two_body_doc, "three": problem_only_doc}[doc]
+    out = tmp_path / "report.json"
+    assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == code
+    capsys.readouterr()
+    assert _key_orders(json.loads(out.read_text())) == keys
+
+
 def test_out_path_in_missing_directory_is_io_error(two_body_doc, tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.json"
     assert main(["verify", str(two_body_doc), "--t-end", "0.5",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from releq import solver
+from releq import cli, solver
 from releq import (
     Problem,
     ProblemDocument,
@@ -48,7 +48,8 @@ class TestBoundProbe:
     def test_report_reproducible(self, two_body_problem):
         r1 = bound_probe(two_body_problem, 15, 2)
         r2 = bound_probe(two_body_problem, 15, 2)
-        assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
+        assert (json.dumps(cli._probe_json(r1))
+                == json.dumps(cli._probe_json(r2)))
 
     def test_no_convergence_reports_zero_classes(self, two_body_problem,
                                                  monkeypatch):

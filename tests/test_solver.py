@@ -819,10 +819,28 @@ class TestFingerprint:
         distances = np.array(rows)
         norms = np.array([fp.sorted_mass_weighted_norms for fp in known])
         assert [fp.matches(new) for fp in known] == [False, True, False, True]
+        maxima = solver._maxima(distances, norms)
         rows = new.sorted_distances, new.sorted_mass_weighted_norms
-        assert solver._first_match(distances, norms, *rows) == 1
-        assert solver._first_match(distances[2:3], norms[2:3], *rows) is None
-        assert solver._first_match(distances[:0], norms[:0], *rows) is None
+        assert solver._first_match(distances, norms, maxima, *rows) == 1
+        assert solver._first_match(distances[2:3], norms[2:3], maxima[2:3],
+                                   *rows) is None
+        assert solver._first_match(distances[:0], norms[:0], maxima[:0],
+                                   *rows) is None
+
+    def test_lookup_takes_the_stored_maxima(self):
+        # the known rows' maxima are read from the stack, not from the
+        # rows: a stored 4.0 above both rows' maxima (below 1) sets the
+        # bound, so FINGERPRINT_RTOL * 4 merges and one ulp more splits
+        edge = solver.FINGERPRINT_RTOL * 4.0
+        known = self._with_side("distances", [0.0, 0.5])
+        distances = known.sorted_distances[None]
+        norms = known.sorted_mass_weighted_norms[None]
+        maxima = np.array([[4.0, 1.0]])
+        for gap, index in ((edge, 0), (np.nextafter(edge, 1.0), None)):
+            new = self._with_side("distances", [gap, 0.5])
+            assert solver._first_match(
+                distances, norms, maxima, new.sorted_distances,
+                new.sorted_mass_weighted_norms) == index
 
     def test_search_classes_match_pairwise_reference(self):
         # 16 equal masses: 83 classes from 89 converged trials; the stacked

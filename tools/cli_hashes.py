@@ -182,6 +182,14 @@ def _seed_overflow_lines(path):
             for command in ("search", "probe")]
 
 
+# 10**18 float64 samples ask for 8 EB, more than any address space holds:
+# numpy fails before it touches memory, and verify and integrate exit 1
+# with one MemoryError line and no report
+def _huge_samples_lines(path):
+    return [[command, path, "--samples", "1000000000000000000"]
+            for command in ("verify", "integrate")]
+
+
 def _digest(data, tmp):
     if data is None:
         return "-"
@@ -208,11 +216,12 @@ def _run(argv, tmp, out_path):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "report.out")
-        runs = [(name, raw, _command_lines)
-                for name, raw in _documents().items()]
+        documents = _documents()
+        runs = [(name, raw, _command_lines) for name, raw in documents.items()]
         runs += [(*MAXWELL, _integrator_lines),
                  (*UNSTABLE, _integrator_lines), (*ROLLING, _rolling_lines),
-                 (*SEED_OVERFLOW, _seed_overflow_lines)]
+                 (*SEED_OVERFLOW, _seed_overflow_lines),
+                 ("two", documents["two"], _huge_samples_lines)]
         for name, raw, command_lines in runs:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
