@@ -13,18 +13,18 @@ its own ``pair_geometry_workspace``, in about two thirds of a one-shot
 samples and forces are plain numpy expressions: at these sizes a buffer
 saves them nothing.
 
-``integrate`` works in the fixed frame: it cuts a step at every sample
-time and copies each sample from the accepted state.
-``co_rotating_trajectory`` runs the same loop in the frame that rotates
-at the problem's rates, where a relative equilibrium is a fixed point.
-There the first step is fitted to the departure from rest, from the
-stiffness along the force defect, rather than climbing from a tiny one;
-the steps run to the last sample time regardless of the others, each
-sample is read from the pair's continuous extension on the step that
-covers it, and the error is also controlled relative to the departure
-from rest, so a tiny departure that grows is followed rather than
-stepped over. ``relative_equilibrium_deviation`` reads the largest
-departure from those samples; ``to_fixed_frame`` maps them back to the
+``integrate`` works in the fixed frame and ``co_rotating_trajectory`` in
+the frame that rotates at the problem's rates, where a relative
+equilibrium is a fixed point; the fixed frame is the one that rotates
+with the zero generator, so both run one loop under one rule. The first
+step is fitted to the departure from the start, from the stiffness along
+the starting acceleration, rather than climbing from a tiny one; the
+steps run to the last sample time regardless of the others, each sample
+is read from the pair's continuous extension on the step that covers
+it, and the error is also controlled relative to the departure from the
+start, so a tiny departure that grows is followed rather than stepped
+over. ``relative_equilibrium_deviation`` reads the largest departure
+from the co-rotating samples; ``to_fixed_frame`` maps them back to the
 fixed frame.
 """
 
@@ -192,57 +192,42 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_BETA = 0.04
 _PI_EXPO = 0.2 - 0.75 * _PI_BETA
-# In the co-rotating frame each error scale is at most _DEPARTURE_RTOL
-# times the larger departure from rest, ||y - rest||_inf, of the step's
-# two ends (plus _DEPARTURE_FLOOR, which keeps an exact rest finite), and
-# the first step errs by about _DEPARTURE_RTOL of the departure.
+# Each error scale is at most _DEPARTURE_RTOL times the larger departure
+# from the start, ||y - start||_inf, of the step's two ends (plus
+# _DEPARTURE_FLOOR, which keeps an exact rest finite), and the first step
+# errs by about _DEPARTURE_RTOL of the departure.
 _DEPARTURE_RTOL = 1e-2
 _DEPARTURE_FLOOR = 1e-30
 
 
-def _rms(q):
-    return np.sqrt(np.add.reduce(q * q) / q.size)
-
-
 def _scaled_err(err_vec, y, y_new, tol, cap):
-    """RMS of err_vec / (tol + tol max(|y|, |y_new|)); with a ``cap``,
-    each scale is at most cap + _DEPARTURE_FLOOR."""
+    """RMS of err_vec / (tol + tol max(|y|, |y_new|)), each scale at most
+    cap + _DEPARTURE_FLOOR."""
     sc = tol * np.maximum(np.abs(y), np.abs(y_new)) + tol
-    if cap is not None:
-        sc = np.minimum(sc, cap + _DEPARTURE_FLOOR)
-    return float(_rms(err_vec / sc))
-
-
-def _initial_step(derivative_at, y0, f0, tol):
-    sc = tol + tol * np.abs(y0)
-    d0 = _rms(y0 / sc)
-    d1 = _rms(f0 / sc)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = derivative_at(y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / sc) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1)
+    q = err_vec / np.minimum(sc, cap + _DEPARTURE_FLOOR)
+    return float(np.sqrt(np.add.reduce(q * q) / q.size))
 
 
 def _departure_step(derivative_at, y0, f0, generator):
-    """First step from rest at ``y0``, where dy/dt = ``f0`` = (0, defect):
-    the departure from rest starts from the force defect.
+    """First step from the start ``y0``, where dy/dt = ``f0``: the
+    departure from the start meets the stiffness along the acceleration
+    f0[nk:], which at a rest point of the rotating frame is the force
+    defect.
 
-    One evaluation at the positions moved by eps along the defect measures
-    the stiffness the departure meets, ||d acc||_inf / eps. The departure's
-    local rate is the larger of its square root and 2 max|G|, the Coriolis
+    One evaluation at the positions moved by eps along the acceleration
+    measures that stiffness, ||d acc||_inf / eps. The departure's local
+    rate is the larger of its square root and 2 max|G|, the Coriolis
     coupling. The embedded error estimate is O(h^5), so a step of
     _DEPARTURE_RTOL^(1/5) / rate errs by about _DEPARTURE_RTOL of a linear
-    departure. A zero defect keeps the rest point exact and takes the
-    Coriolis rate alone; a non-finite one gives a NaN step, which
-    underflows at once.
+    departure. A zero acceleration keeps a rest point exact and takes the
+    Coriolis rate alone; where that rate is zero too (the fixed frame,
+    G = 0, with forces that underflow to 0) the start moves in a straight
+    line, and the step is infinite. A non-finite acceleration gives a NaN
+    step, which underflows at once.
     """
     nk = y0.size // 2
-    defect = f0[nk:]
-    size = float(np.abs(defect).max())
+    acc = f0[nk:]
+    size = float(np.abs(acc).max())
     if not math.isfinite(size):
         return math.nan
     rate = 2.0 * float(np.abs(generator).max())
@@ -252,10 +237,10 @@ def _departure_step(derivative_at, y0, f0, generator):
         eps = math.sqrt(np.finfo(float).eps) \
             * max(1.0, float(np.abs(y0[:nk]).max()))
         point = y0.copy()
-        point[:nk] += eps / size * defect
-        stiffness = float(np.abs(derivative_at(point)[nk:] - defect).max())
+        point[:nk] += eps / size * acc
+        stiffness = float(np.abs(derivative_at(point)[nk:] - acc).max())
         rate = max(rate, math.sqrt(stiffness / eps))
-    return _DEPARTURE_RTOL ** 0.2 / rate
+    return _DEPARTURE_RTOL ** 0.2 / rate if rate > 0.0 else math.inf
 
 
 def integrate(initial, problem, t_end, tol, sample_times=None):
@@ -276,7 +261,8 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     sample_times : array_like, optional
         Strictly increasing finite times in [initial.time, t_end] at which to
         record the state. Defaults to 65 uniform samples including both
-        endpoints.
+        endpoints. The steps run to the last sample time whatever the
+        others are, and each sample is read from the continuous extension.
 
     Returns
     -------
@@ -289,18 +275,19 @@ def integrate(initial, problem, t_end, tol, sample_times=None):
     """
     return _dormand_prince(initial.positions, initial.velocities,
                            initial.time, problem, t_end, tol, sample_times,
-                           None)
+                           np.zeros((problem.k, problem.k)))
 
 
 def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
                     sample_times, generator):
-    """``integrate`` from ``positions`` and ``velocities`` at ``t0``, in the
-    fixed frame if ``generator`` is None, else in the frame that rotates
-    with x = R(t)^T q, R' = G R, for ``generator`` G: there each body also
-    feels the centrifugal asq*x and the Coriolis -2 x' G^T, the start and
-    the samples are (x, x'), the start is the rest point whose departure
-    sets the first step and caps the error scale, and the samples come
-    from the continuous extension rather than from steps cut at them."""
+    """``integrate`` from ``positions`` and ``velocities`` at ``t0`` in
+    the frame that rotates with x = R(t)^T q, R' = G R, for ``generator``
+    G (zero for the fixed frame): there each body also feels the
+    centrifugal -x G G and the Coriolis -2 x' G^T, and the start and the
+    samples are (x, x'). The departure from the start sets the first
+    step and caps the error scale, the steps run to the last sample, and
+    every sample comes from the continuous extension of the step that
+    covers it."""
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
     t_end = float(t_end)
@@ -333,18 +320,16 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
     y, y_new = np.empty((2, 2 * nk))
     measure, measure_new = [_kernels.pair_geometry_workspace(
         point[:nk].reshape(1, n, k)) for point in (y, y_new)]
-    if generator is not None:
-        # (x, x') @ (diag(asq), -2 G^T): the centrifugal and Coriolis terms
-        frame = np.stack([np.diag(problem.asq), -2.0 * generator.T])
+    # (x, x') @ (-G G, -2 G^T): the centrifugal and Coriolis terms
+    frame = np.stack([-generator @ generator, -2.0 * generator.T])
 
     def derivative(s, point, measure):
         """Write dy/dt at ``point`` into stages[s]; return its pair
         geometry, which ``measure`` measures."""
         diff, r2 = measure()
         acc = _kernels.forces_from(diff, np.power(r2, a), m)[0]
-        if generator is not None:
-            terms = point.reshape(2, n, k) @ frame
-            acc = acc + terms[0] + terms[1]
+        terms = point.reshape(2, n, k) @ frame
+        acc = acc + terms[0] + terms[1]
         stages[s, :nk] = point[nk:]
         stages[s, nk:] = acc.ravel()
         return diff, r2
@@ -356,16 +341,12 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
         return stages[1]
 
     y[:nk], y[nk:] = positions.ravel(), velocities.ravel()
-    rest = None if generator is None else y.copy()
+    start = y.copy()
     departure = departure_new = 0.0
     t = t0
     diff, r2 = derivative(0, y, measure)
     _check_separation(positions, r2, t)
-    if rest is None:
-        h = _initial_step(probe, y, stages[0], tol)
-    else:
-        h = _departure_step(probe, y, stages[0], generator)
-    h = min(h, t_end - t0)
+    h = min(_departure_step(probe, y, stages[0], generator), t_end - t0)
     err_old = 1e-4
 
     out = np.empty((samples.size, 2, n, k))
@@ -374,10 +355,8 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
     s_idx = np.searchsorted(samples, t, side="right")
     out_flat[:s_idx] = y
 
+    target = samples[-1]
     while s_idx < samples.size:
-        # the fixed frame cuts the step at the next sample, the rotating
-        # one only at the last
-        target = samples[s_idx if rest is None else -1]
         h_step = min(h, target - t)
         # a NaN step (from a non-finite force) also underflows
         if not h_step >= 1e-14 * max(1.0, abs(t)):
@@ -391,12 +370,10 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
             # FSAL: the last stage point is the new state, and its
             # stage is dy/dt there
             err_vec = h_step * (stages.T @ _DP_E)
-            cap = None
-            if rest is not None:
-                # y's departure was measured when y was accepted
-                departure_new = float(np.abs(y_new - rest).max())
-                cap = _DEPARTURE_RTOL * max(departure, departure_new)
-            err = _scaled_err(err_vec, y, y_new, tol, cap)
+            # y's departure was measured when y was accepted
+            departure_new = float(np.abs(y_new - start).max())
+            err = _scaled_err(err_vec, y, y_new, tol, _DEPARTURE_RTOL
+                              * max(departure, departure_new))
         except FloatingPointError:
             err = np.inf
         if not math.isfinite(err):
@@ -408,8 +385,7 @@ def _dormand_prince(positions, velocities, t0, problem, t_end, tol,
         t_old, t = t, t + h_step
         if target - t < 1e-14 * max(1.0, abs(target)):
             t = target
-        # samples inside the step, from the continuous extension of its
-        # stages (none in the fixed frame, whose steps end at samples)
+        # samples inside the step, from its stages' continuous extension
         while s_idx < samples.size and samples[s_idx] < t:
             theta = (samples[s_idx] - t_old) / h_step
             out_flat[s_idx] = y + h_step * (

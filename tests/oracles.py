@@ -41,6 +41,21 @@ def two_body_points(m1, m2, omega, a, k=2):
     return [p1, p2]
 
 
+def head_on_collision_time(a):
+    """Time two unit masses at rest one apart take to collide, for a >= -1.
+
+    Their separation r obeys r'' = -2 r^(2a+1), so with p = 2a + 2 energy
+    gives r' = -2 sqrt((1 - r^p) / p) and the fall takes
+    B(1/p, 1/2) / (2 sqrt(p)); at a = -1 (p -> 0) it is sqrt(pi) / 2.
+    """
+    p = 2.0 * a + 2.0
+    if p == 0.0:
+        return math.sqrt(math.pi) / 2.0
+    beta = math.exp(math.lgamma(1.0 / p) + math.lgamma(0.5)
+                    - math.lgamma(1.0 / p + 0.5))
+    return beta / (2.0 * math.sqrt(p))
+
+
 # ----------------------------------------------------------------------
 # regular n-gon, equal masses
 # ----------------------------------------------------------------------

@@ -43,16 +43,17 @@ def eccentric_kepler():
     return prob, state, 2 * np.pi * np.sqrt(semi_major ** 3 / 2.0)
 
 
-def plain_dp5(initial, problem, t_end, tol, generator=None, samples=64):
-    """``integrate``'s steps written plainly, with a new array for every
-    stage and no collision checks, sampled at ``samples`` + 1 uniform times.
+def plain_dp5(initial, problem, t_end, tol, generator, samples=64):
+    """The integrator's steps written plainly, with a new array for every
+    stage and no collision checks, sampled at ``samples`` + 1 uniform times,
+    in the frame that rotates with ``generator`` (zeros for ``integrate``'s
+    fixed frame).
 
-    With a rotation ``generator`` these are ``co_rotating_trajectory``'s
-    steps instead: the centrifugal and Coriolis terms join the forces, the
-    first step is ``_departure_step``'s, each error scale is capped at
-    _DEPARTURE_RTOL times the departure from rest, and the steps run to
-    the last sample, reading the others from the _DP_DENSE extension.
-    Also returns how many accepted steps had an error scale the cap lowered.
+    The centrifugal and Coriolis terms join the forces, the first step is
+    ``_departure_step``'s, each error scale is capped at _DEPARTURE_RTOL
+    times the departure from the start, and the steps run to the last
+    sample, reading the others from the _DP_DENSE extension. Also returns
+    how many accepted steps had an error scale the cap lowered.
     """
     n, k = problem.n, problem.k
     nk = n * k
@@ -60,8 +61,8 @@ def plain_dp5(initial, problem, t_end, tol, generator=None, samples=64):
     def f(y):
         x, x_dot = y[:nk].reshape(n, k), y[nk:].reshape(n, k)
         acc = _kernels.accel(x, problem.masses, problem.a)
-        if generator is not None:
-            acc = acc + x @ np.diag(problem.asq) + x_dot @ (-2.0 * generator.T)
+        acc = acc + x @ (-generator @ generator) \
+            + x_dot @ (-2.0 * generator.T)
         return np.concatenate([y[nk:], acc.ravel()])
 
     def rms(q):
@@ -70,23 +71,13 @@ def plain_dp5(initial, problem, t_end, tol, generator=None, samples=64):
     times = np.linspace(initial.time, t_end, samples + 1)
     t = initial.time
     y = np.concatenate([initial.positions.ravel(), initial.velocities.ravel()])
-    rest = y.copy()
+    start = y.copy()
     f0 = f(y)
-    if generator is None:
-        sc = tol + tol * np.abs(y)
-        d0, d1 = rms(y / sc), rms(f0 / sc)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        d2 = rms((f(y + h0 * f0) - f0) / sc) / h0
-        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 \
-            else (0.01 / max(d1, d2)) ** 0.2
-        h = min(100.0 * h0, h1)
-    else:
-        h = dynamics._departure_step(f, y, f0, generator)
-    h = min(h, t_end - t)
+    h = min(dynamics._departure_step(f, y, f0, generator), t_end - t)
     err_old = 1e-4
     out, capped = [y], 0
+    target = times[-1]
     while len(out) < times.size:
-        target = times[len(out) if generator is None else -1]
         h_step = min(h, target - t)
         stages = [f0]
         for s in range(1, 7):
@@ -95,13 +86,10 @@ def plain_dp5(initial, problem, t_end, tol, generator=None, samples=64):
             stages.append(f(y_new))
         err_vec = h_step * (np.array(stages).T @ dynamics._DP_E)
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        lowered = False
-        if generator is not None:
-            departure = max(np.abs(y - rest).max(), np.abs(y_new - rest).max())
-            cap = dynamics._DEPARTURE_RTOL * departure \
-                + dynamics._DEPARTURE_FLOOR
-            lowered = (sc > cap).any()
-            sc = np.minimum(sc, cap)
+        departure = max(np.abs(y - start).max(), np.abs(y_new - start).max())
+        cap = dynamics._DEPARTURE_RTOL * departure + dynamics._DEPARTURE_FLOOR
+        lowered = (sc > cap).any()
+        sc = np.minimum(sc, cap)
         err = float(rms(err_vec / sc))
         if not err <= 1.0:
             h = h_step * max(dynamics._MIN_FACTOR,
@@ -278,21 +266,36 @@ class TestIntegrate:
     @pytest.mark.parametrize("a,tol", [(-0.6, 1e-3), (-0.6, 1e-6),
                                        (-0.75, 1e-3), (-0.75, 1e-6),
                                        (-1.0, 1e-3)])
-    def test_head_on_pass_through_aborts(self, a, tol):
+    def test_head_on_pass_through_aborts(self, a, tol, monkeypatch):
         # at loose tolerance the pair steps from one side of the collision
         # to the other without a state under the guard; the step that
-        # reverses their separation is the collision
+        # reverses their separation is the collision, and it spans the
+        # closed-form collision time
         prob = Problem(2, [1.0, 1.0], [1.0], a)
         state = PhaseState([[0.5, 0.0], [-0.5, 0.0]], np.zeros((2, 2)))
+        times = []
+        check_separation = dynamics._check_separation
+
+        def checking(pos, r2, time):
+            times.append(time)
+            return check_separation(pos, r2, time)
+
+        monkeypatch.setattr(dynamics, "_check_separation", checking)
         with pytest.raises(SingularityError, match="passed through") as err:
             integrate(state, prob, 10.0, tol)
-        assert 0.8 < err.value.time < 1.1
+        # the step that detects the crossing is the last one checked
+        assert times[-1] == err.value.time
+        assert times[-2] < oracles.head_on_collision_time(a) \
+            < err.value.time
 
-    @pytest.mark.parametrize("early,raises", [(1.22e-10, True),
-                                              (1.35e-10, False)])
+    @pytest.mark.parametrize("early,raises", [(1.35e-10, True),
+                                              (1.4e-10, False)])
     def test_last_state_is_guarded(self, early, raises):
-        # the head-on pair is 9.08e-10 apart at sqrt(pi)/2 - 1.22e-10,
-        # under the 1e-9 guard, and 1.02e-9 apart at sqrt(pi)/2 - 1.35e-10
+        # the separations are the integrator's own states: the head-on
+        # pair is 9.85e-10 apart at sqrt(pi)/2 - 1.35e-10, under the 1e-9
+        # guard, and 1.031e-9 apart at sqrt(pi)/2 - 1.4e-10. The exact fall
+        # gives 1.251e-9 and 1.296e-9 there; the tol 1e-10 integration
+        # runs about 3e-11 ahead of it
         prob = Problem(2, [1.0, 1.0], [1.0], -1.0)
         state = PhaseState([[0.5, 0.0], [-0.5, 0.0]], np.zeros((2, 2)))
         t_end = np.sqrt(np.pi) / 2 - early
@@ -307,6 +310,21 @@ class TestIntegrate:
                              sample_times=[0.0, t_end])
             gap = traj.positions[-1, 0] - traj.positions[-1, 1]
             assert 1e-9 < np.hypot(*gap) < 1.1e-9
+
+    def test_zero_force_start_moves_in_a_straight_line(self):
+        # ten apart at a = -200 the forces underflow to exactly 0: the
+        # first step has no rate to fit, and the pair coasts
+        prob = Problem(2, [1.0, 1.0], [1.0], -200.0)
+        state = PhaseState([[5.0, 0.0], [-5.0, 0.0]],
+                           [[0.0, 0.3], [0.0, -0.3]])
+        assert not np.any(acceleration(state.positions, prob))
+        traj = integrate(state, prob, 1.0, 1e-8)
+        expected = state.positions + traj.times[:, None, None] \
+            * state.velocities
+        assert np.abs(traj.positions - expected).max() <= 1e-14
+        assert np.array_equal(traj.velocities,
+                              np.broadcast_to(state.velocities,
+                                              traj.velocities.shape))
 
     def test_eccentric_orbit_returns_after_one_period(self):
         # a retry after a rejected step must restart from dy/dt at the
@@ -371,24 +389,46 @@ class TestIntegrate:
             # the departure's rate, with no climb from a tiny step, and the
             # later ones follow the departure. The samples are read between
             # steps, so every sample count takes the single sample's steps.
-            # The fixed-frame run follows the rotation with 890 force
-            # evaluations
+            # The fixed-frame run, under the same rule, follows the
+            # rotation with 878 force evaluations
             evaluations = calls["forces_from"]
             assert evaluations <= (85 if case == "co-rotating" else 35)
             calls["forces_from"] = 0
             run(1)
             assert calls["forces_from"] == evaluations
 
-    def test_samples_do_not_steer_the_steps(self, trigon):
-        # the co-rotating run steps to t_end whatever the sample count, so
-        # the 17 times that 16 and 64 samples share carry the same bits
+    def test_samples_do_not_steer_the_steps(self, trigon, monkeypatch):
+        # both frames step to the last sample whatever the sample count, so
+        # the 17 times that 16 and 64 samples share carry the same bits:
+        # the co-rotating trigon, and the fixed-frame eccentric orbit,
+        # which also takes as many force evaluations at one sample as at 64
         prob, cfg = trigon
-        coarse, fine = (dynamics.co_rotating_trajectory(cfg, prob, 2 * np.pi,
-                                                        samples)
-                        for samples in (16, 64))
-        assert np.array_equal(fine.times[::4], coarse.times)
-        assert np.array_equal(fine.positions[::4], coarse.positions)
-        assert np.array_equal(fine.velocities[::4], coarse.velocities)
+        kepler, state, period = eccentric_kepler()
+
+        def fixed(samples):
+            return integrate(state, kepler, period, 1e-6,
+                             np.linspace(0.0, period, samples + 1))
+
+        for run in (
+                lambda samples: dynamics.co_rotating_trajectory(
+                    cfg, prob, 2 * np.pi, samples), fixed):
+            coarse, fine = run(16), run(64)
+            assert np.array_equal(fine.times[::4], coarse.times)
+            assert np.array_equal(fine.positions[::4], coarse.positions)
+            assert np.array_equal(fine.velocities[::4], coarse.velocities)
+        calls = []
+        forces_from = _kernels.forces_from
+
+        def counted(*args):
+            calls.append(args)
+            return forces_from(*args)
+        monkeypatch.setattr(_kernels, "forces_from", counted)
+
+        def evaluations(samples):
+            calls.clear()
+            fixed(samples)
+            return len(calls)
+        assert evaluations(1) == evaluations(64) > 0
 
     @pytest.mark.parametrize("case", range(6),
                              ids=["trigon", "odd_k", "k4", "eccentric",
@@ -396,14 +436,15 @@ class TestIntegrate:
     def test_bits_match_plain_stepping(self, case):
         # the integrator's phase points and geometry workspaces change
         # where each stage is written, never what is computed: every sample
-        # equals the plain stepping's bits. The co-rotating runs read 16
-        # samples from the continuous extension, the trigon and the
-        # unstable 12-ring at a = -2, and on both the departure cap
-        # lowers the error scale of some steps
+        # equals the plain stepping's bits. The fixed-frame runs step with
+        # the zero generator. The co-rotating runs read 16 samples, the
+        # trigon and the unstable 12-ring at a = -2, and on both the
+        # departure cap lowers the error scale of some steps
         if case < 4:
             prob, state, t_end, tol = pinned_cases()[case]
             traj = integrate(state, prob, t_end, tol)
-            expected = plain_dp5(state, prob, t_end, tol)
+            expected = plain_dp5(state, prob, t_end, tol,
+                                 np.zeros((prob.k, prob.k)))
         else:
             n, a = ((3, -1.5), (12, -2.0))[case - 4]
             prob = Problem(2, [1.0] * n, [1.0], a)
@@ -499,12 +540,12 @@ class TestIntegrate:
         assert err.value.time == 0.0
 
     def test_non_finite_error_estimate_retries_a_tenth(self, monkeypatch):
-        # a head-on pair at a = -100 overflows a stage force and gets one
-        # infinite error estimate: that step is retried at a tenth of its
+        # a head-on pair at a = -200 overflows a stage force and gets a
+        # non-finite error estimate: that step is retried at a tenth of its
         # size, no non-finite state is accepted, and the run still aborts
-        prob = Problem(2, [1.0, 1.0], [1.0], -100.0)
+        prob = Problem(2, [1.0, 1.0], [1.0], -200.0)
         state = PhaseState([[0.5, 0.0], [-0.5, 0.0]],
-                           [[-10.0, 0.0], [10.0, 0.0]])
+                           [[-1.0, 0.0], [1.0, 0.0]])
         estimates, states = [], []
         scaled_err = dynamics._scaled_err
         check_separation = dynamics._check_separation
@@ -680,6 +721,15 @@ def test_trajectory_csv_layout(two_body, tmp_path, capsys):
     last = [float(x) for x in lines[-1].split(",")]
     assert last == [traj.times[2], 1.0, *traj.positions[2, 1],
                     *traj.velocities[2, 1]]
+
+
+def test_head_on_collision_time_oracle():
+    # a constant pull (a = -1/2) closes the gap as 1 - t^2, and the fall
+    # time is continuous into the logarithmic case a = -1
+    assert oracles.head_on_collision_time(-0.5) == pytest.approx(1.0,
+                                                                 rel=1e-14)
+    assert oracles.head_on_collision_time(-1.0 + 1e-6) == pytest.approx(
+        oracles.head_on_collision_time(-1.0), rel=1e-5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
