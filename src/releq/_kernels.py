@@ -16,8 +16,9 @@ one-configuration kernels (``accel``, the tests' and the benchmark's
 reference, ``residual_stack``, ``jacobian_dense``, ``pair_distances``,
 ``min_pair_distance``) measure a stack of one and give the bits the
 ``*_from`` kernels give a stack's member. The Jacobian is assembled on
-(B, n, n) coordinate planes laid out [b, j, i]; its diagonal blocks sum
-over the strided j axis, which numpy adds in ascending body order.
+coordinate planes laid out [c, d, j, b, i]; its diagonal blocks sum over
+the j axis, which numpy adds in ascending body order, a whole (b, i)
+plane at a time.
 """
 
 import functools
@@ -80,25 +81,31 @@ def jacobian_from(diff, r2, r2a, masses, asq, a):
     other blocks of its row, added over j in ascending order.
     """
     count, n, _, k = diff.shape
-    # u u^T and r are symmetric in (i, j) bit for bit, so the planes of
-    # blocks[c, d, b, j, i] need no transpose of the [b, i, j] geometry
-    planes = np.ascontiguousarray(diff.transpose(3, 0, 1, 2))
-    coef = 2.0 * a * r2 ** (a - 1.0)
+    # the blocks are laid out [c, d, j, b, i], j the column body: u u^T
+    # and r are symmetric in (i, j) bit for bit, so [j, b, i] copies of
+    # the [b, i, j] geometry serve, and every pass below, the sum over j
+    # too, runs along whole (b, i) planes
+    planes = np.ascontiguousarray(diff.transpose(3, 1, 0, 2))
+    coef = 2.0 * a * np.ascontiguousarray(r2.transpose(1, 0, 2)) ** (a - 1.0)
     blocks = coef * planes[:, None] * planes[None, :]
     # the r^(2a) I term: r2a is added in place to the c == d planes, and
     # 0.0 to every plane, which turns a -0.0 product off the axis diagonal
     # into +0.0 as adding r2a * eye(k) does; r2a >= +0.0, so the c == d
-    # sums keep their bits
-    blocks.reshape(k * k, count, n, n)[:: k + 1] += r2a
+    # sums keep their bits. The j == i entries come out +0.0 (u = 0, and
+    # r^(2a) = 0 at the inf diagonal of r2), as the sum over j needs.
+    blocks.reshape(k * k, n, count, n)[:: k + 1] += \
+        np.ascontiguousarray(r2a.transpose(1, 0, 2))
     blocks += 0.0
-    blocks *= masses[:, None]
-    diagonal = blocks.reshape(k, k, count, n * n)[..., :: n + 1]
-    diagonal[...] = 0.0
-    diagonal[...] = np.diag(asq)[:, :, None, None] - blocks.sum(axis=3)
+    blocks *= masses[:, None, None]
+    body = np.arange(n)
+    blocks[:, :, body, :, body] = (np.diag(asq)[:, :, None, None]
+                                   - np.add.reduce(blocks, axis=2)
+                                   ).transpose(3, 0, 1, 2)
     # copied plane by plane, so each copy runs along n, not along k
     jac = np.empty((count, n, k, n, k))
-    for c, d in np.ndindex(k, k):
-        jac[:, :, c, :, d] = blocks[c, d].transpose(0, 2, 1)
+    for c in range(k):
+        for d in range(k):
+            jac[:, :, c, :, d] = blocks[c, d].transpose(1, 2, 0)
     return jac.reshape(count, n * k, n * k)
 
 

@@ -12,26 +12,31 @@ odd-k problems are solved as the (k-1)-dimensional problem with the same
 masses, rates and exponent, and the results are lifted to z = 0.
 
 The one LM implementation, ``_solve_batch``, runs seeds in lock-step
-rounds over a fixed number of slots. Each round first gives every slot
-that a stopped trial freed the next seed, then makes one factorization
-for all open trials and one pair-geometry pass for all their trial point
-sets. The collision guard and the residual derive from that pass, and an
-accepted step is settled from it at once, as a placed seed is: its
-convergence, iteration and gradient tests and its Jacobian for the next
-round. A seed is measured once, by the pass that places it, which also
-applies ``Configuration``'s collision rule: a colliding seed ends the
-batch with that rule's ``ValueError`` and is not redrawn. A trial
-stopped by a test frees its slot for the next round. Damping, collision
-streak and iteration count stay per trial, so every trial takes bit for
-bit the steps it takes alone. ``solve_from_seed`` is a batch of one seed
-in one slot. Multistart search takes as many slots as keep one
-(slots, n*k, n*k) array within 2**16 float64 entries (512 KB), which
-keeps peak memory near that of a lone solve at large n. Each trial draws
-its seed from a generator split off the root seed by trial index, so
-results never depend on which trials share its rounds. The damped matrix
-of each open trial is a copy of its J^T J with the damping added on the
-diagonal in place, and a stack is gathered down to its open trials only
-when some trial leaves it.
+rounds over a fixed number of slots. The open trials fill the first rows
+of every state array, so a round reads them as slices; the rows of the
+trials that stop in a round are filled with the last open ones at its
+end. Each round first gives every freed row the next seed, then makes
+one factorization for all open trials and one pair-geometry pass for all
+their trial point sets. The collision guard and the residual derive from
+that pass, and an accepted step is settled from it at once, as a placed
+seed is: its convergence, iteration and gradient tests and its Jacobian
+for the next round. The convergence test max_norm <= tol * scale is
+decided from bounds on the scale that the pass already gives, and the
+scale's own pass over every pair is made only for the few point sets
+between them (``_convergence_test``). A seed is measured once, by the
+pass that places it, which also applies ``Configuration``'s collision
+rule: a colliding seed ends the batch with that rule's ``ValueError``
+and is not redrawn. Damping, collision streak, iteration count and
+residual history stay per trial, so every trial takes bit for bit the
+steps it takes alone, whichever row it holds. ``solve_from_seed`` is a
+batch of one seed in one slot. Multistart search takes as many slots as
+keep one (slots, n*k, n*k) array within 2**16 float64 entries (512 KB),
+which keeps peak memory near that of a lone solve at large n. Trial t
+draws its seed from the generator ``np.random.default_rng([root seed,
+t])``, so results never depend on which trials share its rounds; the
+draws of a slot count of trials are scaled into the ball as one stack
+(``_seed_blocks``). The damped matrix of each open trial is its J^T J
+copied with the damping added on the diagonal.
 
 A trial stalls when its damped steps keep failing until the damping
 passes ``DAMPING_MAX``, or, by the gradient test of MINPACK's ``lmder``,
@@ -46,11 +51,15 @@ each chunk as one stack whose pair geometry, measured once, serves the
 collision check of every canonical set and the fingerprint rows
 (``canonicalize`` and ``fingerprint`` run the same code on a stack of
 one). The classes' rows, and their maxima stored as each class is made,
-are kept as stacked arrays in discovery order, and each trial's are
-tested against all of them in one array comparison: it joins the first
-class it matches, by the rule of ``EquilibriumFingerprint.matches``, or
-opens a new class, which alone gets an ``EquilibriumFingerprint``.
-``releq.cli`` builds the report entries of these plain records.
+are kept as stacked arrays in discovery order. A chunk is looked up in
+two array comparisons (``_matches``): against the classes known before
+it, where each trial joins the first class it matches, by the rule of
+``EquilibriumFingerprint.matches``, and among the rows of the trials
+that matched none. The first of those opens a class, which every later
+one that matches it joins, and so on in trial order, so the classes,
+hits and order are those of a lookup one trial at a time. Only a class
+gets an ``EquilibriumFingerprint``. ``releq.cli`` builds the report
+entries of these plain records.
 """
 
 from __future__ import annotations
@@ -167,34 +176,54 @@ class EquilibriumFingerprint:
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     def matches(self, other):
-        distances = self.sorted_distances[None]
-        norms = self.sorted_mass_weighted_norms[None]
-        return _first_match(distances, norms, _maxima(distances, norms),
-                            other.sorted_distances,
-                            other.sorted_mass_weighted_norms) is not None
+        mine = self.sorted_distances[None], self.sorted_mass_weighted_norms[None]
+        theirs = (other.sorted_distances[None],
+                  other.sorted_mass_weighted_norms[None])
+        if any(a.shape != b.shape for a, b in zip(mine, theirs)):
+            return False    # rows of another length never match
+        return bool(_matches(theirs, _maxima(*theirs), mine, _maxima(*mine)))
 
 
 def _maxima(distances, norms):
     """(C, 2) stack of max(1, max|row|) of C distance and norm rows."""
-    return np.stack([np.abs(side).max(axis=1, initial=1.0)
+    return np.stack([np.maximum.reduce(np.abs(side), axis=1, initial=1.0)
                      for side in (distances, norms)], axis=1)
 
 
-def _first_match(distances, norms, maxima, fp_distances, fp_norms):
-    """Index of the first known fingerprint, row c of ``distances`` and
-    ``norms`` with their ``_maxima`` row c, that the rows ``fp_distances``
-    and ``fp_norms`` match, or None. They match when, on each side,
-    max|known - new| <= FINGERPRINT_RTOL * max(1, max|known|, max|new|);
-    rows of another length never match.
+def _matches(new, new_maxima, known, known_maxima):
+    """Which known fingerprint each new one matches, shape (new, known).
+
+    ``new`` and ``known`` are (distances, norms) pairs of row stacks of one
+    length each, and the maxima are their ``_maxima``. Two rows match when,
+    on each side, max|known - new| <= FINGERPRINT_RTOL * max(1, max|known|,
+    max|new|). The norm rows of every pair are compared first, then the
+    distance rows of the pairs whose norms match; each comparison takes
+    as many rows at a time as keep its differences within _BATCH_ENTRIES
+    entries.
     """
-    hit = True
-    for known, new, known_max in zip((distances, norms),
-                                     (fp_distances, fp_norms), maxima.T):
-        if known.shape[1:] != new.shape:
-            return None
-        ref = np.maximum(known_max, np.abs(new).max())
-        hit = hit & (np.abs(known - new).max(axis=1) <= FINGERPRINT_RTOL * ref)
-    return int(np.argmax(hit)) if np.any(hit) else None
+    (new_distances, new_norms), (known_distances, known_norms) = new, known
+    hit = np.empty((len(new_maxima), len(known_maxima)), dtype=bool)
+    block = max(1, _BATCH_ENTRIES // max(1, hit.shape[0] * new_norms.shape[1]))
+    for start in range(0, hit.shape[1], block):
+        rows = slice(start, start + block)
+        hit[:, rows] = _close(known_norms[None, rows], new_norms[:, None],
+                              known_maxima[None, rows, 1],
+                              new_maxima[:, None, 1])
+    pairs = np.argwhere(hit)
+    block = max(1, _BATCH_ENTRIES // new_distances.shape[1])
+    for start in range(0, len(pairs), block):
+        new_row, known_row = pairs[start:start + block].T
+        hit[new_row, known_row] = _close(
+            known_distances[known_row], new_distances[new_row],
+            known_maxima[known_row, 0], new_maxima[new_row, 0])
+    return hit
+
+
+def _close(known, new, known_max, new_max):
+    """max|known - new| <= FINGERPRINT_RTOL * max(known_max, new_max) over
+    the last axis of the fingerprint sides."""
+    return (np.maximum.reduce(np.abs(known - new), axis=-1)
+            <= FINGERPRINT_RTOL * np.maximum(known_max, new_max))
 
 
 def _doubled(stack):
@@ -207,7 +236,14 @@ def _doubled(stack):
 
 def _norms(points):
     """Euclidean norm of each point along the last axis."""
-    return np.sqrt(np.sum(points ** 2, axis=-1))
+    return np.sqrt(np.add.reduce(points * points, axis=-1))
+
+
+def _max_norms(points):
+    """Largest point norm of each point set; the square root of the
+    largest squared norm, which correctly rounded sqrt makes the same."""
+    return np.sqrt(np.maximum.reduce(
+        np.add.reduce(points * points, axis=-1), axis=-1))
 
 
 def _fingerprints(r2, norms, masses):
@@ -290,12 +326,35 @@ def seed_radius(problem):
 def sample_seed(problem, rng):
     """Draw an (n, k) array of i.i.d. points in a ball, unchecked: the LM
     applies the collision rule when it places the seed (``_solve_batch``)."""
-    r0 = seed_radius(problem)
     n, k = problem.n, problem.k
-    direction = rng.normal(size=(n, k))
-    direction /= np.sqrt(np.sum(direction ** 2, axis=1))[:, None]
-    radii = r0 * rng.random(n) ** (1.0 / k)
-    return direction * radii[:, None]
+    return _ball_points(rng.normal(size=(1, n, k)), rng.random((1, n)),
+                        seed_radius(problem))[0]
+
+
+def _ball_points(normals, uniforms, radius):
+    """Point sets in a ball of ``radius``, one per row of (B, n, k) standard
+    normals, which give the directions, and (B, n) uniforms, whose k-th
+    roots give the radial fractions."""
+    k = normals.shape[-1]
+    return (normals / _norms(normals)[..., None]
+            * (radius * uniforms ** (1.0 / k))[..., None])
+
+
+def _seed_blocks(problem, trials, rng_seed, block):
+    """The seeds of trials 0..trials-1, ``block`` to a (B, n, k) stack:
+    trial t's is the one ``sample_seed`` draws from the generator
+    ``np.random.default_rng([rng_seed, t])``."""
+    n, k = problem.n, problem.k
+    radius = seed_radius(problem)
+    for first in range(0, trials, block):
+        count = min(block, trials - first)
+        normals = np.empty((count, n, k))
+        uniforms = np.empty((count, n))
+        for row in range(count):
+            rng = np.random.default_rng([rng_seed, first + row])
+            normals[row] = rng.normal(size=(n, k))
+            uniforms[row] = rng.random(n)
+        yield _ball_points(normals, uniforms, radius)
 
 
 def _even_problem(problem):
@@ -331,12 +390,19 @@ def _damped_steps(lhs, rhs):
         return steps
 
 
-def _rows(mask, *arrays):
-    """Each array's rows where ``mask`` holds, or the arrays themselves
-    when it holds on every row, which saves copying whole stacks."""
-    if mask.all():
-        return arrays
-    return tuple(array[mask] for array in arrays)
+def _picked(rows, index):
+    """The slot rows, a slice or an index array, at positions ``index``."""
+    return index + rows.start if isinstance(rows, slice) else rows[index]
+
+
+def _rows(mask, rows, *arrays):
+    """The slot rows and each array's rows where ``mask`` holds, or all of
+    them as given when it holds on every row, which copies no stack."""
+    if np.logical_and.reduce(mask):
+        return (rows, *arrays)
+    index = np.flatnonzero(mask)
+    return (_picked(rows, index),
+            *(array.take(index, axis=0) for array in arrays))
 
 
 def _costs(per_body):
@@ -346,68 +412,120 @@ def _costs(per_body):
     return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
 
 
-def _max_norms(per_body):
-    return _norms(per_body).max(axis=-1)
+def _convergence_test(problem, tol):
+    """The convergence test of ``problem``'s point sets at tolerance ``tol``.
+
+    The returned function takes a stack of point sets with their squared
+    pair distances, largest defect norms, sizes and minimum distances, and
+    tells each max_norm <= tol * scale with the scale of
+    ``criterion.residual_scale_batch``: max(1, N, R, F), with N the size,
+    R the largest rate term |Asq Q_i| and F the largest force term
+    m_j r^(2a+1). Its bounds decide most rows: max(1, N, R) <= scale, and
+    F <= max(m) * d_min^(2a+1), as r^(2a+1) falls with r and rounding is
+    monotone; the bound is raised by 2^-40 of itself, as numpy's SIMD
+    power need not be correctly rounded. Only rows between the two tests
+    take the scale's pass over every pair.
+    """
+    heaviest = float(np.maximum.reduce(problem.masses))
+    power = 2.0 * problem.a + 1.0
+    # with no squared rate above 1, |Asq Q_i| <= |Q_i| entry by entry, and
+    # monotone rounding keeps R <= N: R is then not measured
+    rates = problem.asq if np.maximum.reduce(problem.asq) > 1.0 else None
+
+    def converged(points, r2, max_norm, size, min_distance):
+        known = size if rates is None else np.maximum(
+            size, _max_norms(points * rates))
+        known = np.maximum(known, 1.0)
+        forces = heaviest * min_distance ** power * (1.0 + 2.0 ** -40)
+        met = max_norm <= tol * np.maximum(known, forces)
+        if not np.logical_or.reduce(met):
+            return met
+        open_ = met & (max_norm > tol * known)
+        if np.logical_or.reduce(open_):
+            met[open_] = max_norm[open_] <= tol * residual_scale_batch(
+                points[open_], r2[open_], problem)
+        return met
+
+    return converged
+
+
+_TINY = np.finfo(float).tiny    # the smallest normal float
+# list.append(history, value) over an array of lists and one of values
+_append = np.frompyfunc(list.append, 2, 1)
 
 
 def _solve_batch(seeds, problem, opts, slots):
     """Levenberg-Marquardt on an iterable of (n, k) seeds, in lock-step rounds.
 
-    Up to ``slots`` trials run at once, one per slot. Each round starts by
-    placing the next seeds in the slots that trials stopping in the last
-    round freed; then every open trial makes one damped attempt. A point
-    set enters its slot, as a placed seed or an accepted trial step, by
-    one settle: from the pair geometry it was just measured with it runs
-    the convergence test, the iteration test, the linearization
+    Up to ``slots`` trials run at once, and the open ones fill the first
+    rows of every state array, so a round reads them as slices. Each round
+    starts by placing the next seeds in the rows that trials stopping in
+    the last round freed; then every open trial makes one damped attempt.
+    A point set enters its row, as a placed seed or an accepted trial step,
+    by one settle: from the pair geometry it was just measured with it
+    runs the convergence test, the iteration test, the linearization
     (Jacobian, normal matrix, gradient, damping base) and the gradient
     test, so a trial stops in the round its last point set was measured.
-    Damping, collision streak and iteration count are per trial, and each
-    trial makes exactly the decisions and the arithmetic of a lone solve:
+    The convergence test is decided from bounds where they settle it (see
+    ``_convergence_test``). Damping, collision streak, iteration count and
+    residual history are per trial, and each trial makes exactly the
+    decisions and the arithmetic of a lone solve, whichever row it holds:
     trial steps are accepted only when they decrease the trial's stacked
     residual norm, and steps whose minimum separation falls below the
     collision guard are rejected with increased damping instead of being
-    evaluated. Each finished trial is yielded as a ``SolveResult``, in
-    seed order, as soon as every earlier trial has finished. Placing
-    seeds applies ``Configuration``'s collision rule, ``check_separation``,
-    to their geometry, so a trial's points are a seed that passed it or a
+    evaluated. The rows of the trials that stopped in a round are closed
+    up at its end. Each finished trial is yielded as a ``SolveResult``, in
+    seed order, as soon as every earlier trial has finished. Placing seeds
+    applies ``Configuration``'s collision rule, ``check_separation``, to
+    their geometry, so a trial's points are a seed that passed it or a
     step that cleared the stricter collision guard: its deferred
     ``config`` never raises.
     """
     n, k = problem.n, problem.k
+    nk = n * k
     masses, asq, a = problem.masses, problem.asq, problem.a
+    grow, shrink = opts.damping_grow, opts.damping_shrink
+    converged = _convergence_test(problem, opts.tol_res)
     seeds = iter(seeds)
     points = np.empty((slots, n, k))
-    max_norm = np.empty(slots)
-    cost = np.empty(slots)
-    history = [None] * slots
-    damping = np.empty(slots)
-    streak = np.empty(slots, dtype=int)
-    iterations = np.empty(slots, dtype=int)
-    jtj = np.empty((slots, n * k, n * k))
-    grad = np.empty((slots, n * k))
-    mu_base = np.empty(slots)
-    active = np.zeros(slots, dtype=bool)
-    order = np.empty(slots, dtype=int)    # index of the seed in each slot
-    drawn = 0                             # seeds placed so far
-    finished = {}                         # results not yet yielded
-    yielded = 0
+    # per-trial numbers, each a column view of one of two arrays, so that
+    # closing rows up moves them together
+    numbers = np.empty((slots, 4))
+    cost, max_norm, damping, mu_base = numbers.T
+    counts = np.empty((slots, 3), dtype=int)
+    streak, iterations, order = counts.T    # order: the seed's index
+    jtj = np.empty((slots, nk, nk))
+    damped = np.empty((slots, nk, nk))    # each round's jtj + mu I
+    grad = np.empty((slots, nk))
+    history = np.empty(slots, dtype=object)
+    state = (points, numbers, counts, jtj, grad, history)
+    stopped = []       # rows of the trials stopped since the last close-up
+    finished = {}      # results not yet yielded, by seed index
+    drawn = yielded = 0
+    m = 0              # open trials, in rows 0..m-1
 
-    def stop(done, termination):
-        if not done.size:
+    def stop(rows, mask, termination):
+        if not np.logical_or.reduce(mask):
             return
-        for i in done:
-            finished[int(order[i])] = SolveResult(
-                points[i], float(max_norm[i]), int(iterations[i]),
-                termination, tuple(history[i]))
-        active[done] = False
+        rows = _picked(rows, np.flatnonzero(mask))
+        stopped.append(rows)
+        for row, seed_index, residual_max, count in zip(
+                rows.tolist(), order[rows].tolist(), max_norm[rows].tolist(),
+                iterations[rows].tolist()):
+            finished[seed_index] = SolveResult(
+                points[row], residual_max, count, termination,
+                tuple(history[row]))
 
-    def reject(rejected, termination, give_up=False):
-        # grow the damping; stop trials past DAMPING_MAX (or giving up)
-        if not rejected.size:
-            return
-        damping[rejected] *= opts.damping_grow
-        stop(rejected[give_up | (damping[rejected] > DAMPING_MAX)],
-             termination)
+    def close_up():
+        """Move the open trials' rows up to rows 0..m-1."""
+        kept = np.ones(m, dtype=bool)
+        for rows in stopped:
+            kept[rows] = False
+        stopped.clear()
+        kept = np.flatnonzero(kept)
+        for array in state:
+            array[:kept.size] = array.take(kept, axis=0)
+        return kept.size
 
     def defects(pts, diff, r2):
         """r^(2a), per-body balance defects and their norms of point sets."""
@@ -415,99 +533,114 @@ def _solve_batch(seeds, problem, opts, slots):
         body = pts * asq + _kernels.forces_from(diff, r2a, masses)
         return r2a, body, _costs(body)
 
-    def settle(idx, pts, diff, r2, r2a, body, body_cost):
-        """Put measured point sets in their slots, then test and linearize."""
-        if not idx.size:
-            return
-        points[idx] = pts
-        cost[idx] = body_cost
-        max_norm[idx] = _max_norms(body)
-        for i in idx:
-            history[i].append(float(max_norm[i]))
-        scale = residual_scale_batch(pts, r2, problem)
-        converged = max_norm[idx] <= opts.tol_res * scale
-        spent = ~converged & (iterations[idx] >= MAX_ITERATIONS)
-        stop(idx[converged], Termination.CONVERGED)
-        stop(idx[spent], Termination.MAX_ITERATIONS)
-        live = ~(converged | spent)
-        idx, diff, r2, r2a, body, body_cost = _rows(
-            live, idx, diff, r2, r2a, body, body_cost)
+    def settle(rows, taken, pts, diff, r2, size, min_distance, r2a, body,
+               body_cost):
+        """Put the measured point sets that ``taken`` marks in their rows,
+        then test and linearize them."""
+        norms = _max_norms(body)
+        kept, kept_points, kept_cost, kept_norms = _rows(
+            taken, rows, pts, body_cost, norms)
+        points[kept] = kept_points
+        cost[kept] = kept_cost
+        max_norm[kept] = kept_norms
+        _append(history[kept], kept_norms)
+        met = converged(pts, r2, norms, size, min_distance)
+        ended = taken & (met | (iterations[rows] >= MAX_ITERATIONS))
+        if np.logical_or.reduce(ended):
+            stop(rows, ended & met, Termination.CONVERGED)
+            stop(rows, ended & ~met, Termination.MAX_ITERATIONS)
+        rows, diff, r2, r2a, body, body_cost = _rows(
+            taken & ~ended, rows, diff, r2, r2a, body, body_cost)
         jac = _kernels.jacobian_from(diff, r2, r2a, masses, asq, a)
         jac_t = jac.transpose(0, 2, 1)
         normal = jac_t @ jac
-        gradient = (jac_t @ body.reshape(-1, n * k, 1))[..., 0]
+        gradient = (jac_t @ body.reshape(-1, nk, 1))[..., 0]
         diagonal = np.diagonal(normal, axis1=1, axis2=2)
-        stalled = (np.sqrt(np.sum(gradient ** 2, axis=1))
-                   <= GRADIENT_RTOL * np.sqrt(diagonal.sum(axis=1))
+        stalled = (np.sqrt(np.add.reduce(gradient * gradient, axis=1))
+                   <= GRADIENT_RTOL * np.sqrt(np.add.reduce(diagonal, axis=1))
                    * body_cost)
-        stop(idx[stalled], Termination.STALLED)
-        idx, normal, gradient, diagonal = _rows(
-            ~stalled, idx, normal, gradient, diagonal)
-        jtj[idx] = normal
-        grad[idx] = gradient
-        mu_base[idx] = np.maximum(diagonal.max(axis=1), np.finfo(float).tiny)
+        stop(rows, stalled, Termination.STALLED)
+        rows, normal, gradient, diagonal = _rows(
+            ~stalled, rows, normal, gradient, diagonal)
+        jtj[rows] = normal
+        grad[rows] = gradient
+        mu_base[rows] = np.maximum(np.maximum.reduce(diagonal, axis=1), _TINY)
 
     while True:
-        free = np.flatnonzero(~active)
-        placed = list(itertools.islice(seeds, free.size))
-        idx = free[:len(placed)]
-        if idx.size:
-            for i in idx:
-                history[i] = []
-            damping[idx] = opts.damping_init
-            streak[idx] = 0
-            iterations[idx] = 0
-            active[idx] = True
-            order[idx] = np.arange(drawn, drawn + idx.size)
-            drawn += idx.size
+        free = slots - m
+        placed = list(itertools.islice(seeds, free))
+        if placed:
+            rows = slice(m, m + len(placed))
+            for row in range(rows.start, rows.stop):
+                history[row] = []
+            damping[rows] = opts.damping_init
+            streak[rows] = 0
+            iterations[rows] = 0
+            order[rows] = np.arange(drawn, drawn + len(placed))
+            drawn += len(placed)
+            m = rows.stop
             seed = np.array(placed, dtype=float)
             diff, r2 = _kernels.pair_geometry(seed)
-            check_separation(_kernels.min_distance_from(r2), _max_norms(seed))
-            settle(idx, seed, diff, r2, *defects(seed, diff, r2))
+            size = _max_norms(seed)
+            min_distance = _kernels.min_distance_from(r2)
+            check_separation(min_distance, size)
+            settle(rows, np.ones(len(placed), dtype=bool), seed, diff, r2,
+                   size, min_distance, *defects(seed, diff, r2))
+            if stopped:
+                m = close_up()
 
         while yielded in finished:
             yield finished.pop(yielded)
             yielded += 1
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            if len(placed) < free.size:    # every seed has been solved
+        if not m:
+            if len(placed) < free:    # every seed has been solved
                 return
             continue
-        lhs = jtj[idx]    # a copy, as idx is an index array
-        lhs.reshape(-1, (n * k) ** 2)[:, :: n * k + 1] += \
-            (damping[idx] * mu_base[idx])[:, None]
-        steps = _damped_steps(lhs, -grad[idx])
-        finite = np.isfinite(steps).all(axis=1)
-        reject(idx[~finite], Termination.STALLED)
-        idx = idx[finite]
-
-        trial = points[idx] + steps[finite].reshape(-1, n, k)
+        lhs = damped[:m]
+        np.copyto(lhs, jtj[:m])
+        diagonal = lhs.reshape(m, nk * nk)[:, :: nk + 1]
+        np.add(diagonal, (damping[:m] * mu_base[:m])[:, None], out=diagonal)
+        steps = _damped_steps(lhs, -grad[:m])
+        trial = points[:m] + steps.reshape(m, n, k)
         size = _max_norms(trial)
         # a trial passes if its size is finite (so are its points) and its
         # minimum separation is not below GUARD_REL * max(1, size), which
         # lies above the Configuration threshold COLLISION_RTOL * (1 + size)
-        passed = np.isfinite(size)
-        whole = np.flatnonzero(passed)
-        diff, r2 = _kernels.pair_geometry(trial[whole])
-        clear = (_kernels.min_distance_from(r2)
-                 >= GUARD_REL * np.maximum(1.0, size[whole]))
-        passed[whole] = clear
-        guarded = idx[~passed]
-        streak[guarded] += 1
-        reject(guarded, Termination.COLLISION_GUARD,
-               streak[guarded] >= MAX_COLLISION_REJECTS)
-        idx, trial = _rows(passed, idx, trial)
-        diff, r2 = _rows(clear, diff, r2)
-        streak[idx] = 0
+        solved = np.isfinite(size)
+        if not np.logical_and.reduce(solved):
+            # a non-finite step, from a singular or overflowing solve, is
+            # a stall and a finite one to non-finite points is guarded;
+            # both are measured at their current points, and fail the guard
+            trial[~solved] = points[:m][~solved]
+            solved = np.logical_and.reduce(np.isfinite(steps), axis=1)
+        diff, r2 = _kernels.pair_geometry(trial)
+        min_distance = _kernels.min_distance_from(r2)
+        clear = min_distance >= GUARD_REL * np.maximum(1.0, size)
+        rows = slice(0, m)
+        if not np.logical_and.reduce(clear):
+            guarded = solved & ~clear
+            streak[:m][guarded] += 1
+            damping[:m][~clear] *= grow
+            stop(rows, guarded & ((streak[:m] >= MAX_COLLISION_REJECTS)
+                                  | (damping[:m] > DAMPING_MAX)),
+                 Termination.COLLISION_GUARD)
+            stop(rows, ~solved & (damping[:m] > DAMPING_MAX),
+                 Termination.STALLED)
+            rows, trial, diff, r2, size, min_distance = _rows(
+                clear, rows, trial, diff, r2, size, min_distance)
+        streak[rows] = 0
 
         r2a, body, trial_cost = defects(trial, diff, r2)
-        better = np.isfinite(trial_cost) & (trial_cost < cost[idx])
-        reject(idx[~better], Termination.STALLED)
-        idx, *measured = _rows(better, idx, trial, diff, r2, r2a, body,
-                               trial_cost)
-        damping[idx] = np.maximum(damping[idx] * opts.damping_shrink, 1e-15)
-        iterations[idx] += 1
-        settle(idx, *measured)
+        better = np.isfinite(trial_cost) & (trial_cost < cost[rows])
+        stepped = damping[rows] * np.where(better, shrink, grow)
+        np.maximum(stepped, 1e-15, out=stepped, where=better)
+        damping[rows] = stepped
+        iterations[rows] += better
+        stop(rows, ~better & (stepped > DAMPING_MAX), Termination.STALLED)
+        settle(rows, better, trial, diff, r2, size, min_distance, r2a, body,
+               trial_cost)
+        if stopped:
+            m = close_up()
 
 
 def solve_from_seed(seed, problem, opts=None):
@@ -552,12 +685,13 @@ def _trial_results(problem, trials, rng_seed, opts):
     """Solve trials 0..trials-1 in one rolling lock-step batch, in order,
     as ``SolveResult`` records.
 
-    Trial t draws its seed from the generator (rng_seed, t) when a slot
-    frees up for it.
+    Trial t's seed is drawn from the generator (rng_seed, t) (see
+    ``_seed_blocks``), a slot count of trials at a time.
     """
-    seeds = (sample_seed(problem, np.random.default_rng([rng_seed, t]))
-             for t in range(trials))
-    return _solve_batch(seeds, problem, opts, _slot_count(problem, trials))
+    slots = _slot_count(problem, trials)
+    seeds = itertools.chain.from_iterable(
+        _seed_blocks(problem, trials, rng_seed, slots))
+    return _solve_batch(seeds, problem, opts, slots)
 
 
 def multistart_search(problem, trials, rng_seed, opts=None):
@@ -576,7 +710,8 @@ def multistart_search(problem, trials, rng_seed, opts=None):
     opts = opts or SolveOptions()
     even = _even_problem(problem)
 
-    found = []    # [representative SolveResult, fingerprint, hits] per class
+    found = []    # (representative SolveResult, fingerprint) per class
+    hits = np.zeros(0, dtype=int)
     # the classes' fingerprint sides and maxima, row c for class c; rows
     # from len(found) on are spare, and their count doubles when used up
     distances = np.empty((16, even.n * (even.n - 1) // 2))
@@ -586,25 +721,46 @@ def multistart_search(problem, trials, rng_seed, opts=None):
                  if trial.converged)
     size = _slot_count(even, trials)
     for chunk in iter(lambda: list(itertools.islice(converged, size)), []):
-        canonical, chunk_distances, chunk_norms = _canonical_fingerprints(
+        canonical, *rows = _canonical_fingerprints(
             np.array([trial.points for trial in chunk]), even)
-        for trial, points, fp_distances, fp_norms in zip(
-                chunk, canonical, chunk_distances, chunk_norms):
-            count = len(found)
-            hit = _first_match(distances[:count], norms[:count],
-                               maxima[:count], fp_distances, fp_norms)
-            if hit is not None:
-                found[hit][2] += 1
-                continue
-            if count == len(norms):
+        row_maxima = _maxima(*rows)
+        classes = np.full(len(chunk), -1)
+        if found:
+            known = len(found)
+            hit = _matches(rows, row_maxima, (distances[:known], norms[:known]),
+                           maxima[:known])
+            matched = np.logical_or.reduce(hit, axis=1)
+            classes[matched] = np.argmax(hit[matched], axis=1)
+        # of the trials that match no earlier class, the first opens a
+        # class, which every later one that matches it joins; the rest
+        # repeat this
+        pending = np.flatnonzero(classes < 0)
+        rows = tuple(side[pending] for side in rows)
+        row_maxima = row_maxima[pending]
+        among = _matches(rows, row_maxima, rows, row_maxima)
+        left = np.arange(pending.size)
+        while left.size:
+            opener, left = left[0], left[1:]
+            joined = among[left, opener]
+            classes[pending[opener]] = len(found)
+            classes[pending[left[joined]]] = len(found)
+            left = left[~joined]
+            if len(found) == len(norms):
                 distances, norms, maxima = (
                     _doubled(distances), _doubled(norms), _doubled(maxima))
-            distances[count] = fp_distances
-            norms[count] = fp_norms
-            maxima[count] = _maxima(fp_distances[None], fp_norms[None])[0]
-            found.append([replace(trial, points=_lifted(points, problem.k)),
-                          EquilibriumFingerprint(fp_distances, fp_norms), 1])
-    return [SearchClass(*cls) for cls in found]
+            distances[len(found)] = rows[0][opener]
+            norms[len(found)] = rows[1][opener]
+            maxima[len(found)] = row_maxima[opener]
+            trial = pending[opener]
+            found.append((
+                replace(chunk[trial],
+                        points=_lifted(canonical[trial], problem.k)),
+                EquilibriumFingerprint(rows[0][opener], rows[1][opener])))
+        tally = np.bincount(classes, minlength=len(found))
+        tally[:hits.size] += hits
+        hits = tally
+    return [SearchClass(result, fp, count)
+            for (result, fp), count in zip(found, hits.tolist())]
 
 
 def exponent_schedule(a_start, a_target, steps):

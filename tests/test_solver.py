@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from releq import _kernels, solver
+from releq import _kernels, criterion, solver
 from releq import (
     Configuration,
     Problem,
@@ -159,6 +159,84 @@ class TestSolveFromSeed:
                 assert result.residual_max <= opts.tol_res * scale
 
 
+class TestBoundFirstConvergence:
+    """The solver decides max_norm <= tol * scale from bounds on the scale
+    of ``residual_scale_batch`` and measures the scale only for rows
+    between them; every decision must be the measured one."""
+
+    TOL = SolveOptions().tol_res
+
+    @staticmethod
+    def _stacks(prob, rng):
+        """Point sets of ``prob``: drawn seeds, and sets with one close pair
+        of the two lightest bodies, at several sizes."""
+        sets = [sample_seed(prob, np.random.default_rng([3, t]))
+                for t in range(4)]
+        light = np.argsort(prob.masses, kind="stable")[:2]
+        for scale in (0.05, 1.0, 30.0):
+            pts = rng.normal(size=(prob.n, prob.k)) * scale
+            pts[light[1]] = pts[light[0]] + 0.02 * scale
+            sets.append(pts)
+        return np.array(sets)
+
+    def _rows(self, prob, stack):
+        """Each set repeated with max_norm at and around its thresholds:
+        the bounds max(1, N, R) and max(1, N, R, max(m) d_min^(2a+1)), the
+        scale itself, one ulp either side of tol * scale, and points in
+        between."""
+        diff, r2 = _kernels.pair_geometry(stack)
+        scale = criterion.residual_scale_batch(stack, r2, prob)
+        size = np.sqrt(np.sum(stack ** 2, axis=-1)).max(axis=-1)
+        rates = np.sqrt(np.sum((stack * prob.asq) ** 2, axis=-1)).max(axis=-1)
+        low = np.maximum(1.0, np.maximum(size, rates))
+        min_distance = _kernels.min_distance_from(r2)
+        high = np.maximum(low, prob.masses.max()
+                          * min_distance ** (2.0 * prob.a + 1.0))
+        edge = self.TOL * scale
+        values = [edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0),
+                  self.TOL * low, self.TOL * high, 0.5 * self.TOL * low,
+                  2.0 * self.TOL * high, 0.5 * (self.TOL * low + edge),
+                  0.5 * (edge + self.TOL * high)]
+        count = len(values)
+        norms = np.concatenate(values)
+        order = np.tile(np.arange(len(stack)), count)
+        return (stack[order], r2[order], norms, size[order],
+                min_distance[order], scale[order], low[order], high[order])
+
+    @pytest.mark.parametrize("masses, rates, a", [
+        ([3.0, 1.0, 1.0], [1.0], -1.5),          # closest pair not heaviest
+        ([1.0, 1.0, 1.0], [1e-3], -1.5),
+        ([1.0, 1.0, 1.0], [1e-7], -1.5),
+        ([0.5, 2.0, 1.0, 4.0], [1.0], -0.6),
+        ([0.5, 2.0, 1.0, 4.0], [1.0], -3.0),
+        ([1.0, 0.3, 2.0, 0.7, 1.5], [2.0, 3.0], -1.5),   # R above N
+    ])
+    def test_decisions_match_the_measured_scale(self, masses, rates, a):
+        prob = Problem(2 * len(rates), masses, rates, a)
+        rng = np.random.default_rng(11)
+        (points, r2, norms, size, min_distance, scale, low,
+         high) = self._rows(prob, self._stacks(prob, rng))
+        converged = solver._convergence_test(prob, self.TOL)(
+            points, r2, norms, size, min_distance)
+        assert converged.tolist() == (norms <= self.TOL * scale).tolist()
+        # the stacks put rows below, in and above the band between the
+        # bounds, and in the band on both sides of tol * scale
+        band = (norms > self.TOL * low) & (norms <= self.TOL * high)
+        assert (norms <= self.TOL * low).any()
+        assert (norms > self.TOL * high).any()
+        assert (band & converged).any()
+        if masses[0] != masses[1]:
+            assert (band & ~converged).any()
+
+    def test_slow_rate_seed_converges_at_once(self):
+        # at rate 1e-7 the seeds are so large that 1 and max|Q_i| set the
+        # scale: every trial converges at its seed, after 0 iterations
+        prob = Problem(2, np.ones(3), [1e-7], -1.5)
+        results = list(solver._trial_results(prob, 6, 3, SolveOptions()))
+        assert all(result.converged and result.iterations == 0
+                   for result in results)
+
+
 class TestVerificationTriangle:
     def _check_classes(self, prob, classes):
         tol = SolveOptions().tol_res
@@ -289,6 +367,28 @@ class TestMultistart:
             assert mine.termination is alone.termination
             assert mine.residual_history == alone.residual_history
 
+    def test_trials_independent_of_slot_placement(self, monkeypatch):
+        # rows are closed up as trials stop, so a trial moves between rows
+        # and shares its rounds with different trials at each slot count;
+        # every result keeps its bits. The constants make the 48 seeds end
+        # all four ways
+        for name, value in {"GUARD_REL": 0.05, "MAX_COLLISION_REJECTS": 2,
+                            "MAX_ITERATIONS": 20, "DAMPING_MAX": 0.1}.items():
+            monkeypatch.setattr(solver, name, value)
+        prob = Problem(2, np.ones(7), [1.0], -2.5)
+        seeds = [sample_seed(prob, np.random.default_rng([5, t]))
+                 for t in range(48)]
+        runs = [list(solver._solve_batch(seeds, prob, SolveOptions(), slots))
+                for slots in (1, 3, 48)]
+        assert {result.termination for result in runs[0]} == set(Termination)
+        for results in runs[1:]:
+            for mine, alone in zip(results, runs[0], strict=True):
+                assert mine.points.tobytes() == alone.points.tobytes()
+                assert mine.residual_max == alone.residual_max
+                assert mine.iterations == alone.iterations
+                assert mine.termination is alone.termination
+                assert mine.residual_history == alone.residual_history
+
     def test_singular_stack_falls_back_to_lone_solves(self, monkeypatch):
         # a stacked solve fails as a whole if one matrix is singular; the
         # per-trial fallback must reproduce the stacked results exactly
@@ -340,7 +440,7 @@ class TestMultistart:
         counts = Counter()
         in_lm, in_draw = [False], [False]
         measure, build = _kernels._measure_pairs, solver.Configuration
-        draw, solve_batch = solver.sample_seed, solver._solve_batch
+        draw, solve_batch = solver._seed_blocks, solver._solve_batch
         make_fingerprint = solver.EquilibriumFingerprint
 
         def measuring(*args):
@@ -353,12 +453,15 @@ class TestMultistart:
             return build(points)
 
         def drawing(*args):
-            counts["draws"] += 1
-            in_draw[0] = True
-            try:
-                return draw(*args)
-            finally:
+            blocks = draw(*args)
+            while True:
+                in_draw[0] = True
+                block = next(blocks, None)
                 in_draw[0] = False
+                if block is None:
+                    return
+                counts["draws"] += len(block)
+                yield block
 
         def fingerprinting(*args):
             counts["fingerprints"] += 1
@@ -377,7 +480,7 @@ class TestMultistart:
 
         monkeypatch.setattr(_kernels, "_measure_pairs", measuring)
         monkeypatch.setattr(solver, "Configuration", building)
-        monkeypatch.setattr(solver, "sample_seed", drawing)
+        monkeypatch.setattr(solver, "_seed_blocks", drawing)
         monkeypatch.setattr(solver, "EquilibriumFingerprint", fingerprinting)
         monkeypatch.setattr(solver, "_solve_batch", batch)
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", 8 * 12 ** 2)
@@ -403,17 +506,14 @@ class TestMultistart:
         # of Configuration; a colliding draw is not redrawn but ends the
         # search with that rule's error
         prob = Problem(2, np.ones(4), [1.0], -1.5)
-        draw = solver.sample_seed
-        drawn = [0]
+        draw = solver._ball_points
 
         def colliding(*args):
-            seed = draw(*args)
-            drawn[0] += 1
-            if drawn[0] == 3:
-                seed[1] = seed[0]
-            return seed
+            seeds = draw(*args)    # the five seeds, drawn as one block
+            seeds[2, 1] = seeds[2, 0]
+            return seeds
 
-        monkeypatch.setattr(solver, "sample_seed", colliding)
+        monkeypatch.setattr(solver, "_ball_points", colliding)
         with pytest.raises(ValueError, match="colliding configuration"):
             multistart_search(prob, 5, 41)
 
@@ -427,13 +527,15 @@ class TestMultistart:
 
         def checking(lhs, rhs):
             state = sys._getframe(1).f_locals    # the _solve_batch round
-            idx, jtj = state["idx"], state["jtj"]
-            mu = state["damping"][idx] * state["mu_base"][idx]
-            expected = jtj[idx] + mu[:, None, None] * np.eye(lhs.shape[1])
+            # the open trials fill rows 0..m-1
+            open_ = slice(0, state["m"])
+            jtj = state["jtj"]
+            mu = state["damping"][open_] * state["mu_base"][open_]
+            expected = jtj[open_] + mu[:, None, None] * np.eye(lhs.shape[1])
             assert np.array_equal(lhs, expected)
             steps = damped_steps(lhs, rhs)
             assert steps.tobytes() == damped_steps(expected, rhs).tobytes()
-            dampings.extend(state["damping"][idx])
+            dampings.extend(state["damping"][open_])
             return steps
 
         monkeypatch.setattr(solver, "_damped_steps", checking)
@@ -820,12 +922,13 @@ class TestFingerprint:
         norms = np.array([fp.sorted_mass_weighted_norms for fp in known])
         assert [fp.matches(new) for fp in known] == [False, True, False, True]
         maxima = solver._maxima(distances, norms)
-        rows = new.sorted_distances, new.sorted_mass_weighted_norms
-        assert solver._first_match(distances, norms, maxima, *rows) == 1
-        assert solver._first_match(distances[2:3], norms[2:3], maxima[2:3],
-                                   *rows) is None
-        assert solver._first_match(distances[:0], norms[:0], maxima[:0],
-                                   *rows) is None
+        rows = new.sorted_distances[None], new.sorted_mass_weighted_norms[None]
+        row_maxima = solver._maxima(*rows)
+        hit = solver._matches(rows, row_maxima, (distances, norms), maxima)
+        assert hit.tolist() == [[False, True, False, True]]
+        assert np.argmax(hit[0]) == 1
+        assert solver._matches(rows, row_maxima, (distances[:0], norms[:0]),
+                               maxima[:0]).shape == (1, 0)
 
     def test_lookup_takes_the_stored_maxima(self):
         # the known rows' maxima are read from the stack, not from the
@@ -836,11 +939,62 @@ class TestFingerprint:
         distances = known.sorted_distances[None]
         norms = known.sorted_mass_weighted_norms[None]
         maxima = np.array([[4.0, 1.0]])
-        for gap, index in ((edge, 0), (np.nextafter(edge, 1.0), None)):
+        for gap, merged in ((edge, True), (np.nextafter(edge, 1.0), False)):
             new = self._with_side("distances", [gap, 0.5])
-            assert solver._first_match(
-                distances, norms, maxima, new.sorted_distances,
-                new.sorted_mass_weighted_norms) == index
+            rows = (new.sorted_distances[None],
+                    new.sorted_mass_weighted_norms[None])
+            assert solver._matches(rows, solver._maxima(*rows),
+                                   (distances, norms),
+                                   maxima).tolist() == [[merged]]
+
+    @pytest.mark.parametrize("chunk", [11, 3, 1])
+    def test_chunk_lookup_keeps_first_match_order(self, monkeypatch, chunk):
+        # designed fingerprints of 11 converged trials, in trial order:
+        # trial 2 matches the class trial 1 opened; trials 4 and 6 match
+        # two classes each and join the lower one; trial 5 is one ulp
+        # outside class 0. Whether the trials share a chunk or not, the
+        # search keeps the classes, hits and order of a scan that tests
+        # one trial at a time with EquilibriumFingerprint.matches
+        edge = solver.FINGERPRINT_RTOL * 4.0
+        distances = [[0.0, 1.0, 4.0], [0.0, 2.0, 9.0], [0.0, 2.0, 9.0],
+                     [0.0, 1.0, 4.0 + 6e-6], [0.0, 1.0, 4.0 + 3e-6],
+                     [np.nextafter(edge, 1.0), 1.0, 4.0], [edge, 1.0, 4.0],
+                     [0.0, 2.0, 9.0], [0.0, 3.0, 5.0],
+                     [np.nextafter(edge, 1.0), 1.0, 4.0], [0.0, 3.0, 5.0]]
+        rows = [(np.array(side), np.array([0.5, 1.0, 1.5]))
+                for side in distances]
+        prob = Problem(2, np.ones(3), [1.0], -1.5)
+        trials = [solver.SolveResult(np.full((3, 2), float(t)), 0.0, 1,
+                                     Termination.CONVERGED, (0.0,))
+                  for t in range(len(rows))]
+
+        def designed(points, problem):
+            # the trial index is every coordinate of its points
+            index = points[:, 0, 0].astype(int)
+            return (np.array(points), np.array([rows[t][0] for t in index]),
+                    np.array([rows[t][1] for t in index]))
+
+        monkeypatch.setattr(solver, "_trial_results",
+                            lambda *args: iter(trials))
+        monkeypatch.setattr(solver, "_canonical_fingerprints", designed)
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", chunk * 6 ** 2)
+        reference = []    # [opening trial, fingerprint, hits]
+        for t, (side, norms) in enumerate(rows):
+            fp = solver.EquilibriumFingerprint(side, norms)
+            for known in reference:
+                if known[1].matches(fp):
+                    known[2] += 1
+                    break
+            else:
+                reference.append([t, fp, 1])
+        assert [(t, hits) for t, _, hits in reference] == \
+            [(0, 3), (1, 3), (3, 1), (5, 2), (8, 2)]
+        classes = multistart_search(prob, len(trials), 0)
+        assert [(int(cls.result.points[0, 0]), cls.hits)
+                for cls in classes] == [(t, hits) for t, _, hits in reference]
+        for cls, (_, fp, _) in zip(classes, reference):
+            assert np.array_equal(cls.fingerprint.sorted_distances,
+                                  fp.sorted_distances)
 
     def test_search_classes_match_pairwise_reference(self):
         # 16 equal masses: 83 classes from 89 converged trials; the stacked

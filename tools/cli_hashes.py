@@ -29,6 +29,8 @@ import shlex
 import sys
 import tempfile
 
+import numpy as np
+
 from releq import cli
 
 
@@ -190,6 +192,38 @@ def _huge_samples_lines(path):
             for command in ("verify", "integrate")]
 
 
+def _searches(trials):
+    """Search and probe lines at ``trials`` trials, seed 3, both formats."""
+    def lines(path):
+        return [[command, path, "--trials", str(trials), "--seed", "3",
+                 "--format", fmt]
+                for command in ("search", "probe") for fmt in ("json", "csv")]
+    return lines
+
+
+def _problem(masses, rates, a):
+    return {"schema_version": "1", "dimension": 2 * len(rates),
+            "exponent": a, "masses": masses, "frequencies": rates}
+
+
+# Searches whose convergence tests and class lookups take the less common
+# turns: three unit masses at slow rates, where 1 or the point norms set
+# the residual scale (at 1e-7 every trial converges at its seed after 0
+# iterations); 12 equal masses at a = -2, whose 300 trials take 113 slots
+# and whose 256 converged ones fill 3 lookup chunks with 111 classes; and
+# 5 unequal masses, whose closest pair need not be the heaviest, and whose
+# 2500 trials take 655 slots and converge 2403 times over 4 chunks into
+# 145 classes
+SEARCHES = [
+    ("slow1e-3", _problem([1.0] * 3, [1e-3], -1.5), _searches(12)),
+    ("slow1e-7", _problem([1.0] * 3, [1e-7], -1.5), _searches(12)),
+    ("equal12", _problem([1.0] * 12, [1.0], -2.0), _searches(300)),
+    ("unequal5",
+     _problem(np.random.default_rng(2).uniform(0.5, 2.0, 5).tolist(), [1.0],
+              -1.5), _searches(2500)),
+]
+
+
 def _digest(data, tmp):
     if data is None:
         return "-"
@@ -221,7 +255,7 @@ def main():
         runs += [(*MAXWELL, _integrator_lines),
                  (*UNSTABLE, _integrator_lines), (*ROLLING, _rolling_lines),
                  (*SEED_OVERFLOW, _seed_overflow_lines),
-                 ("two", documents["two"], _huge_samples_lines)]
+                 ("two", documents["two"], _huge_samples_lines), *SEARCHES]
         for name, raw, command_lines in runs:
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
